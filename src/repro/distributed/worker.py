@@ -9,12 +9,17 @@ over a single socket: ``occur``, ``create``, ``get``, ``is_permitted``,
 
 **Durability & recovery.**  With a spool directory configured, every
 committed (or tombstoned) unit is appended to ``journal.jsonl`` before
-the reply leaves the worker, and every ``snapshot_interval`` committed
-records a full :func:`dump_incremental` snapshot is written atomically.
-A restarted worker rebuilds its state as *snapshot + journal suffix
-replay* (:func:`restore_state` + :func:`replay_records`), exactly the
-paper's "state is the event sequence" semantics.  Mutating requests
-carry a request id; applied ids are spooled alongside the journal, so a
+the reply leaves the worker; the journal is never truncated.  Every
+``snapshot_interval`` flushed records the worker checkpoints
+(:meth:`ShardWorker.checkpoint`): it appends a *delta* -- the records
+of the instances committed units touched since the last checkpoint --
+to ``checkpoints.jsonl``, or, once that log has grown to the size of
+the full *base* it extends, rewrites the base ``snapshot.json``
+atomically and empties the log.  A restarted worker rebuilds its state
+as *base + newer deltas + journal suffix replay* (:func:`apply_deltas`,
+:func:`restore_state`, :func:`replay_records`), the paper's "state is
+the life cycle so far" semantics put to work.  Mutating requests carry
+a request id; applied ids are spooled alongside the journal, so a
 request retried across a crash is detected and acknowledged instead of
 applied twice.
 
@@ -86,10 +91,11 @@ from repro.observability.journal import (
     record_to_json,
     replay_records,
 )
-from repro.runtime.objectbase import _Transaction
+from repro.runtime.objectbase import ChangeSet, _Transaction
 from repro.runtime.persistence import (
     _payload_from_json,
     _payload_to_json,
+    apply_deltas,
     dump_incremental,
     dump_state,
     restore_state,
@@ -163,9 +169,11 @@ def fsync_directory(path: str) -> None:
 
     ``os.replace`` orders the rename against the *file's* data (already
     fsynced), but the rename lives in the directory: until the directory
-    inode reaches disk, a crash can forget the new ``snapshot.json``
-    entry entirely -- state the journal suffix alone cannot rebuild once
-    the journal is truncated at the next snapshot."""
+    inode reaches disk, a crash can forget the new ``snapshot.json`` and
+    bring the previous base back.  The journal is never truncated, so
+    recovery would still reach the same state from that older base, but
+    only by replaying everything since it; the fsync keeps recovery
+    bounded by what the latest base covers."""
     try:
         fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
     except OSError:  # pragma: no cover - platforms without dir-open
@@ -176,24 +184,65 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
+def _file_size(path: str) -> int:
+    return os.path.getsize(path) if os.path.exists(path) else 0
+
+
+def _read_lines(path: str) -> List[Dict[str, Any]]:
+    """The parsed lines of a spool log.  A crash mid-append can leave
+    a torn last line -- by construction unacknowledged, since its fsync
+    never returned -- so that line is dropped *and cut off the file*,
+    and the next append starts on a line of its own.  A torn line
+    anywhere else is real corruption and still raises."""
+    if not os.path.exists(path):
+        return []
+    with open(path, "rb") as handle:
+        data = handle.read()
+    lines = data.split(b"\n")
+    # lines[-1] follows the last newline: empty, or a line whose write
+    # never finished
+    keep = len(data) - len(lines[-1])
+    parsed: List[Dict[str, Any]] = []
+    for index, line in enumerate(lines[:-1]):
+        if not line.strip():
+            continue
+        try:
+            parsed.append(json.loads(line))
+        except ValueError:
+            if index < len(lines) - 2:
+                raise
+            keep -= len(line) + 1
+    if keep < len(data):
+        os.truncate(path, keep)
+    return parsed
+
+
 class Spool:
-    """Crash-durable per-shard storage: journal, snapshot, applied ids.
+    """Crash-durable per-shard storage: journal, checkpoints, applied ids.
+
+    Checkpoints come in two shapes: ``snapshot.json``, the *base*, a
+    full dump replaced atomically, and ``checkpoints.jsonl``, the
+    *checkpoint log*, one delta line per checkpoint since that base.
+    ``base_bytes`` and ``log_bytes`` are their sizes, from which the
+    worker decides when to compact.
 
     Append handles stay open across appends (the group-commit flusher
-    fsyncs the same two files hundreds of times a second) and a lock
-    serializes file access: the async worker's flusher runs appends in
-    an executor thread while crash hooks may force a synchronous drain
-    from the event-loop thread."""
+    fsyncs the same file hundreds of times a second) and a lock
+    serializes file access."""
 
     def __init__(self, directory: str, shard_index: int):
         self.directory = os.path.join(directory, f"shard-{shard_index}")
         os.makedirs(self.directory, exist_ok=True)
         self.journal_path = os.path.join(self.directory, "journal.jsonl")
         self.snapshot_path = os.path.join(self.directory, "snapshot.json")
+        self.checkpoint_path = os.path.join(self.directory, "checkpoints.jsonl")
         self.applied_path = os.path.join(self.directory, "applied.jsonl")
         self.lock = threading.Lock()
         self._journal_file = None
         self._applied_file = None
+        self._checkpoint_file = None
+        self.base_bytes = _file_size(self.snapshot_path)
+        self.log_bytes = _file_size(self.checkpoint_path)
 
     def _journal_handle(self):
         if self._journal_file is None:
@@ -207,7 +256,9 @@ class Spool:
 
     def close(self) -> None:
         with self.lock:
-            for handle in (self._journal_file, self._applied_file):
+            for handle in (
+                self._journal_file, self._applied_file, self._checkpoint_file
+            ):
                 if handle is not None:
                     try:
                         handle.close()
@@ -215,6 +266,7 @@ class Spool:
                         pass
             self._journal_file = None
             self._applied_file = None
+            self._checkpoint_file = None
 
     def append_records(self, records) -> None:
         self.append_batch(records, ())
@@ -263,32 +315,11 @@ class Spool:
             handle.flush()
             os.fsync(handle.fileno())
 
-    def _journal_lines(self) -> List[Dict[str, Any]]:
-        """Parsed journal lines, tolerating one torn *trailing* line: a
-        crash mid group write can leave a partial last record, which is
-        by construction unacknowledged and therefore safe to drop.  A
-        torn line anywhere else is real corruption and still raises."""
-        if not os.path.exists(self.journal_path):
-            return []
-        with open(self.journal_path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        parsed: List[Dict[str, Any]] = []
-        for lineno, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                parsed.append(json.loads(line))
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    break
-                raise
-        return parsed
-
     def read_journal(self) -> Optional[Journal]:
         if not os.path.exists(self.journal_path):
             return None
         journal = Journal()
-        for data in self._journal_lines():
+        for data in _read_lines(self.journal_path):
             if "seq" not in data:
                 continue  # group-commit rid marker
             record = record_from_json(data)
@@ -302,23 +333,56 @@ class Spool:
     def write_snapshot(self, data: Dict[str, Any]) -> None:
         self.write_snapshot_text(json.dumps(data))
 
-    def write_snapshot_text(self, text: str) -> None:
-        """Atomic snapshot replace: tmp write + fsync, rename, then
-        fsync the *directory* so the rename itself survives a crash."""
-        tmp = self.snapshot_path + ".tmp"
+    def write_snapshot_text(self, text: str, delta: bool = False) -> None:
+        """Write one checkpoint.  A delta is appended to the checkpoint
+        log as one line under one fsync.  A base replaces
+        ``snapshot.json`` atomically -- tmp write + fsync, rename, then
+        fsync the *directory* so the rename itself survives a crash --
+        and then removes the checkpoint log, whose deltas it covers.  A
+        crash between the two leaves deltas no newer than the base,
+        which recovery skips; losing the log, or any suffix of it, only
+        lengthens the journal replay, so it needs no directory fsync."""
         with self.lock:
+            if delta:
+                if self._checkpoint_file is None:
+                    self._checkpoint_file = open(
+                        self.checkpoint_path, "a", encoding="utf-8"
+                    )
+                handle = self._checkpoint_file
+                handle.write(text + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+                self.log_bytes += len(text) + 1
+                return
+            tmp = self.snapshot_path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as handle:
                 handle.write(text)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, self.snapshot_path)
             fsync_directory(self.directory)
+            self.base_bytes = len(text)
+            self._remove_checkpoint_log()
+
+    def _remove_checkpoint_log(self) -> None:
+        if self._checkpoint_file is not None:
+            self._checkpoint_file.close()
+            self._checkpoint_file = None
+        if os.path.exists(self.checkpoint_path):
+            os.remove(self.checkpoint_path)
+        self.log_bytes = 0
 
     def read_snapshot(self) -> Optional[Dict[str, Any]]:
         if not os.path.exists(self.snapshot_path):
             return None
         with open(self.snapshot_path, "r", encoding="utf-8") as handle:
             return json.load(handle)
+
+    def read_checkpoints(self) -> List[Dict[str, Any]]:
+        """The checkpoint log's deltas, oldest first."""
+        deltas = _read_lines(self.checkpoint_path)
+        self.log_bytes = _file_size(self.checkpoint_path)
+        return deltas
 
     def read_applied(self) -> set:
         """The applied-request set: the per-request ledger plus every
@@ -327,7 +391,7 @@ class Spool:
         if os.path.exists(self.applied_path):
             with open(self.applied_path, "r", encoding="utf-8") as handle:
                 applied = {line.strip() for line in handle if line.strip()}
-        for data in self._journal_lines():
+        for data in _read_lines(self.journal_path):
             if "seq" not in data and "rid" in data:
                 applied.add(data["rid"])
         return applied
@@ -394,9 +458,13 @@ class ShardWorker:
         )
         spool_dir = config.get("spool_dir")
         self.spool = Spool(spool_dir, self.shard_index) if spool_dir else None
+        if self.spool is not None:
+            # delta checkpoints carry what committed units changed
+            self.system.changes = ChangeSet()
         self.snapshot_interval: int = config.get("snapshot_interval", 64)
         self.flushed_seq = 0
-        self._last_snapshot_seq = 0
+        #: the journal sequence number the last checkpoint covers
+        self.checkpoint_seq = 0
         self.applied: set = set()
         self.requests = 0
         self.recovered = False
@@ -417,7 +485,8 @@ class ShardWorker:
     # ------------------------------------------------------------------
 
     def _recover(self) -> None:
-        """Rebuild state from the spool: snapshot + journal suffix.
+        """Rebuild state from the spool: base + newer deltas + journal
+        suffix.
 
         When tracing, the replay runs inside a ``shard.recovery_replay``
         root span; having no live request to ride on, it waits in the
@@ -439,20 +508,29 @@ class ShardWorker:
         if self.spool is None:
             return
         disk = self.spool.read_journal()
-        snapshot = self.spool.read_snapshot()
-        if disk is None and snapshot is None:
+        base = self.spool.read_snapshot()
+        deltas = self.spool.read_checkpoints()
+        if disk is None and base is None:
             return
         recorder, self.system.recorder = self.system.recorder, None
         self.system.capture_remote = True
         try:
-            if snapshot is not None:
-                restore_state(self.system, snapshot["snapshot"])
-                since = snapshot.get("journal_seq") or 0
-                if disk is not None:
-                    replay_records(self.system, disk.records_since(since))
-                self._last_snapshot_seq = since
-            elif disk is not None:
-                replay_records(self.system, disk.records)
+            since = 0
+            if base is not None:
+                since = base.get("journal_seq") or 0
+                # a crash after a base's rename but before the log was
+                # removed leaves deltas the base already covers
+                newer = [d for d in deltas if d["journal_seq"] > since]
+                snapshot = base["snapshot"]
+                if newer:
+                    snapshot = apply_deltas(snapshot, [d["delta"] for d in newer])
+                    since = newer[-1]["journal_seq"]
+                restore_state(self.system, snapshot)
+            if disk is not None:
+                # replayed units are noted as changes: the next
+                # checkpoint must carry them
+                replay_records(self.system, disk.records_since(since))
+            self.checkpoint_seq = since
         finally:
             self.system.capture_remote = False
             self.system.remote_calls = []
@@ -489,8 +567,8 @@ class ShardWorker:
                         self._spool_suffix(records, rid)
                 else:
                     self._spool_suffix(records, rid)
-            if self.flushed_seq - self._last_snapshot_seq >= self.snapshot_interval:
-                self._write_snapshot()
+            if self.checkpoint_due:
+                self.checkpoint()
         if rid:
             self.applied.add(rid)
 
@@ -531,16 +609,32 @@ class ShardWorker:
             self.spool.append_group(records, rids)
         self.flushed_seq = max(self.flushed_seq, top)
 
-    def _write_snapshot(self) -> None:
-        if self.spool is None:
-            return
-        data = dump_incremental(self.system)
-        # The in-memory recorder restarts empty after a recovery, so its
-        # own high-water mark can lag the on-disk journal; the snapshot
-        # covers everything flushed so far.
-        data["journal_seq"] = self.flushed_seq
-        self.spool.write_snapshot(data)
-        self._last_snapshot_seq = self.flushed_seq
+    @property
+    def checkpoint_due(self) -> bool:
+        """Whether ``snapshot_interval`` records were flushed since the
+        last checkpoint."""
+        return self.flushed_seq - self.checkpoint_seq >= self.snapshot_interval
+
+    def checkpoint(self, full: bool = False) -> None:
+        """Persist the state the flushed journal reaches, at a point
+        where that state holds nothing unflushed: a delta of the
+        instances changed since the last checkpoint or, when ``full`` or
+        once the checkpoint log has grown to the size of the base it
+        extends, a new full base.  The in-memory journal then drops the
+        records the checkpoint covers: the spool keeps them."""
+        spool = self.spool
+        full = full or spool.log_bytes >= spool.base_bytes
+        changes = self.system.take_changes()
+        data = dump_incremental(self.system, None if full else changes)
+        try:
+            spool.write_snapshot_text(json.dumps(data), not full)
+        except OSError:
+            # nothing new is known to be durable: the next checkpoint
+            # must carry these changes as well
+            self.system.changes = changes
+            raise
+        self.checkpoint_seq = data["journal_seq"]
+        self.recorder.trim(self.checkpoint_seq)
 
     # ------------------------------------------------------------------
     # Item resolution (the shared 2PC item shape)
@@ -969,19 +1063,21 @@ class ShardWorker:
 
     def _op_export(self, request):
         stats = self.system.probe_stats
-        live = {
-            class_name: len(self.system.alive_instances(class_name))
-            for class_name in sorted(self.system.instances)
-            if self.system.alive_instances(class_name)
-        }
+        # keys, not instances: counting must not fault a paged shard in
+        live = {}
+        for class_name in sorted(self.system.instances):
+            count = len(self.system.alive_keys(class_name))
+            if count:
+                live[class_name] = count
+        recorder = self.recorder
         return {
             "ok": True,
             "shard": self.shard_index,
             "requests": self.requests,
             "in_flight": self.in_flight,
-            "journal_depth": len(self.recorder),
-            "commits": len(self.recorder.commits()),
-            "rollbacks": len(self.recorder.rollbacks()),
+            "journal_depth": recorder.commit_count + recorder.rollback_count,
+            "commits": recorder.commit_count,
+            "rollbacks": recorder.rollback_count,
             "probe_cache": {
                 "hits": stats.hits,
                 "misses": stats.misses,
@@ -1005,17 +1101,24 @@ class ShardWorker:
         }
 
     def _op_snapshot(self, request):
-        self._flush()
-        # In group-commit mode the flush above only marked the suffix
-        # pending; drain it now so the snapshot's journal_seq never lags
-        # records that are already in the state being snapshotted.
-        self.force_flush()
-        self._write_snapshot()
-        return {"ok": True, "journal_seq": self._last_snapshot_seq}
+        if self.spool is not None:
+            self._flush()
+            # In group-commit mode the flush above only marked the
+            # suffix pending; drain it now so the base's journal_seq
+            # never lags records already in the state it holds.
+            self.force_flush()
+            self.checkpoint(full=True)
+        return {"ok": True, "journal_seq": self.checkpoint_seq}
 
     # -- management / fault injection ----------------------------------
 
     def _op_shutdown(self, request):
+        if self.spool is not None:
+            # a clean stop leaves the journal and one full base: no
+            # deltas for the next start to lay over it
+            self.force_flush()
+            if self.flushed_seq > self.checkpoint_seq or self.spool.log_bytes:
+                self.checkpoint(full=True)
         return {"ok": True, "status": "bye"}
 
     def _op_crash(self, request):
@@ -1071,11 +1174,11 @@ class _GroupCommitServer:
     fsync covers them.
 
     The flusher coroutine claims everything that went pending while the
-    previous fsync was on disk and writes it as one batch in an executor
-    thread (``fsync`` releases the GIL, so the event loop keeps handling
-    requests under it -- that overlap, not parallelism, is where the
-    throughput comes from).  ``fsync.batch`` records how many replies
-    each fsync amortized."""
+    previous fsync was on disk and writes it as one batch, then takes
+    the checkpoint when one is due, before the batch's replies leave.
+    The writes block only this worker process; the coordinator and the
+    sibling shards run under its fsync.  ``fsync.batch`` records how
+    many replies each fsync amortized."""
 
     #: ops that must observe a fully drained spool before they run: the
     #: snapshot's journal_seq must not lag the snapshotted state, and
@@ -1167,7 +1270,6 @@ class _GroupCommitServer:
             await waiter
 
     async def _flusher(self) -> None:
-        loop = asyncio.get_running_loop()
         worker = self.worker
         spool = worker.spool
         obs = worker.obs
@@ -1216,19 +1318,10 @@ class _GroupCommitServer:
                     obs.metrics.histogram("fsync.batch", unit="count").observe(
                         len(pending)
                     )
-                if (
-                    worker.flushed_seq - worker._last_snapshot_seq
-                    >= worker.snapshot_interval
-                ):
-                    # Serialize on the loop (handlers cannot mutate state
-                    # mid-dump here); only the file I/O goes off-thread.
-                    data = dump_incremental(worker.system)
-                    data["journal_seq"] = worker.flushed_seq
-                    text = json.dumps(data)
-                    await loop.run_in_executor(
-                        None, spool.write_snapshot_text, text
-                    )
-                    worker._last_snapshot_seq = data["journal_seq"]
+                if worker.checkpoint_due:
+                    # on the loop, like the fsync above: no handler can
+                    # change the state between the flush and its dump
+                    worker.checkpoint()
             if pending:
                 self.writer.write(b"".join(pending))
                 try:

@@ -148,7 +148,8 @@ _SHARD_GAUGES = (
     ("requests", "Requests handled by the shard worker."),
     ("commits", "Committed synchronization sets journaled on the shard."),
     ("rollbacks", "Tombstones (rolled-back sets) journaled on the shard."),
-    ("journal_depth", "Journal records held by the shard worker."),
+    ("journal_depth",
+     "Journal records (commits and tombstones) the shard worker recorded."),
     ("in_flight", "Requests currently being handled by the shard worker."),
 )
 

@@ -227,6 +227,10 @@ class Journal:
         self.records: List[JournalRecord] = []
         self.origin: str = "genesis"
         self._seq = 0
+        #: units recorded through this journal, counted as they are
+        #: recorded: ``records`` may have been trimmed since
+        self.commit_count = 0
+        self.rollback_count = 0
 
     # -- recording (called by the ObjectBase commit/rollback paths) ----
 
@@ -280,6 +284,7 @@ class Journal:
         )
         record._pending = (txn.steps, tuple(txn.parents), baselines)
         self.records.append(record)
+        self.commit_count += 1
         return record
 
     def record_rollback(
@@ -298,6 +303,7 @@ class Journal:
             mono=time.perf_counter(),
         )
         self.records.append(record)
+        self.rollback_count += 1
         return record
 
     def _next_seq(self) -> int:
@@ -314,8 +320,10 @@ class Journal:
 
     @property
     def last_seq(self) -> int:
-        """Sequence number of the last record (0 when empty)."""
-        return self.records[-1].seq if self.records else 0
+        """Sequence number of the last record issued (0 when none) --
+        also after the records were trimmed, or when numbering resumed
+        from a spooled journal."""
+        return self._seq
 
     def commits(self) -> List[JournalRecord]:
         return [r for r in self.records if r.kind == "commit"]
@@ -331,7 +339,26 @@ class Journal:
     def records_since(self, seq: int) -> List[JournalRecord]:
         """Records strictly after sequence number ``seq`` (the journal
         suffix of a snapshot taken at ``seq``)."""
-        return [r for r in self.records if r.seq > seq]
+        return self.records[self._index_after(seq):]
+
+    def trim(self, seq: int) -> None:
+        """Drop the records at or below ``seq`` (a shard worker's
+        records once a checkpoint covers them: its spool keeps them)."""
+        del self.records[: self._index_after(seq)]
+
+    def _index_after(self, seq: int) -> int:
+        """Index of the first record after ``seq``.  Sequence numbers
+        ascend, so this is a bisection: a suffix costs what it holds,
+        not what the history before it holds."""
+        records = self.records
+        low, high = 0, len(records)
+        while low < high:
+            middle = (low + high) // 2
+            if records[middle].seq <= seq:
+                low = middle + 1
+            else:
+                high = middle
+        return low
 
     # -- serialization -------------------------------------------------
 

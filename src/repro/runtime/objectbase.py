@@ -130,6 +130,31 @@ class ClassObject:
         self.trace.append(TraceStep(event=event, args=(member,), state=tuple(state.items())))
 
 
+class ChangeSet:
+    """What committed units changed since the set was started: the
+    ``(class, key)`` of every instance they touched and the class-object
+    membership they changed (class -> identity -> member afterwards).
+
+    Keys are kept in the order committed units first touched them; a
+    unit touches its new instances in the order it registered them, so
+    new keys follow the registry's order.  Keys, not instances: a
+    paging store's hot-set bound still holds."""
+
+    __slots__ = ("keys", "members")
+
+    def __init__(self) -> None:
+        self.keys: Dict[Tuple[str, object], None] = {}
+        self.members: Dict[str, Dict[Value, bool]] = {}
+
+    def note(self, instance: Instance) -> None:
+        """An instance a committed unit touched, with its base aspects
+        (attribute writes route to the aspect that stores them)."""
+        keys = self.keys
+        while instance is not None:
+            keys[(instance.class_name, instance.key)] = None
+            instance = instance.base
+
+
 class _Transaction:
     """Book-keeping for one atomic synchronization set."""
 
@@ -176,6 +201,10 @@ class _Transaction:
     def commit(self) -> None:
         incremental = self.system.permission_mode == "incremental"
         paging = not self.system.store.direct
+        changes = self.system.changes
+        if changes is not None:
+            for instance, _snapshot in self.snapshots.values():
+                changes.note(instance)
         for instance, step, kind in self.steps:
             instance.record_step(step)
             if incremental:
@@ -201,6 +230,10 @@ class _Transaction:
                 elif kind == "death":
                     class_object.members.discard(instance.identity)
                     class_object.record("delete_member", instance.identity)
+                if changes is not None and kind in ("birth", "death"):
+                    changes.members.setdefault(instance.class_name, {})[
+                        instance.identity
+                    ] = kind == "birth"
 
 
 class ObjectBase:
@@ -324,6 +357,10 @@ class ObjectBase:
         #: committed synchronization set (society-interface relays,
         #: Section 6's communicating object societies)
         self.on_commit: List = []
+        #: what committed units changed since the last take_changes();
+        #: None (nothing noted) unless an owner that checkpoints -- a
+        #: shard worker with a spool -- started a ChangeSet
+        self.changes: Optional[ChangeSet] = None
 
     # ------------------------------------------------------------------
     # Lookup
@@ -872,6 +909,11 @@ class ObjectBase:
             # The base aspect's role set changed; verdicts that iterated
             # its roles must notice.
             instance.base.epoch += 1
+
+    def take_changes(self) -> Optional[ChangeSet]:
+        """The changes noted so far, replaced by a fresh set."""
+        changes, self.changes = self.changes, ChangeSet()
+        return changes
 
     def _bump_population(self, class_name: str) -> None:
         """Advance the class's population epoch (registry or alive-set

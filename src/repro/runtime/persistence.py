@@ -38,12 +38,13 @@ from repro.storage.codec import (
     value_to_json,
 )
 from repro.runtime.instance import Instance
-from repro.runtime.objectbase import ObjectBase
+from repro.runtime.objectbase import ChangeSet, ObjectBase
 
 FORMAT_VERSION = 1
 
 __all__ = [
     "FORMAT_VERSION",
+    "apply_deltas",
     "dump_incremental",
     "dump_json",
     "dump_state",
@@ -185,20 +186,80 @@ def restore_json(system: ObjectBase, text: str) -> ObjectBase:
 # Journal-aware snapshots: snapshot + journal suffix = incremental backup
 # ----------------------------------------------------------------------
 
-def dump_incremental(system: ObjectBase) -> Dict[str, Any]:
+def dump_incremental(
+    system: ObjectBase, changes: Optional[ChangeSet] = None
+) -> Dict[str, Any]:
     """Snapshot ``system`` together with its journal high-water mark.
 
     With the event journal attached (``system.recorder``), the snapshot
     plus the journal records *after* ``journal_seq`` reconstruct any
     later state: restore the snapshot, then replay the suffix
     (:func:`restore_incremental`).  Without a recorder the mark is None
-    and the snapshot stands alone."""
+    and the snapshot stands alone.
+
+    With ``changes`` (a :class:`~repro.runtime.objectbase.ChangeSet`
+    taken from the base) the result is a *delta* instead: under
+    ``"delta"``, the records of the changed instances only and the
+    class-object membership changes, which :func:`apply_deltas` lays
+    over an earlier snapshot.  Paged-out instances are dumped from
+    their backend records, never faulted in."""
     recorder = getattr(system, "recorder", None)
+    seq = recorder.last_seq if recorder is not None else None
+    if changes is None:
+        return {
+            "format": FORMAT_VERSION,
+            "snapshot": dump_state(system),
+            "journal_seq": seq,
+        }
+    store = system.store
     return {
         "format": FORMAT_VERSION,
-        "snapshot": dump_state(system),
-        "journal_seq": recorder.last_seq if recorder is not None else None,
+        "delta": {
+            "instances": [store.dump_record(*key) for key in changes.keys],
+            "class_objects": {
+                name: [[value_to_json(m), present] for m, present in members.items()]
+                for name, members in changes.members.items()
+            },
+        },
+        "journal_seq": seq,
     }
+
+
+def apply_deltas(snapshot: Dict[str, Any], deltas) -> Dict[str, Any]:
+    """The :func:`dump_state` snapshot that results from laying the
+    ``delta`` parts of :func:`dump_incremental` checkpoints, oldest
+    first, over ``snapshot``: a changed instance's record replaces its
+    old one in place, a new instance's record joins its class after the
+    ones registered before it, and class-object members come and go.
+    Restoring the result equals restoring a full snapshot taken at the
+    last delta."""
+
+    def ident(encoded) -> str:
+        return json.dumps(encoded, sort_keys=True)
+
+    records = {
+        (record["class"], ident(record["key"])): record
+        for record in snapshot["instances"]
+    }
+    members = {
+        name: {ident(member): member for member in encoded}
+        for name, encoded in snapshot.get("class_objects", {}).items()
+    }
+    for delta in deltas:
+        for record in delta["instances"]:
+            records[(record["class"], ident(record["key"]))] = record
+        for name, changes in delta["class_objects"].items():
+            current = members.setdefault(name, {})
+            for member, present in changes:
+                if present:
+                    current[ident(member)] = member
+                else:
+                    current.pop(ident(member), None)
+    return dict(
+        snapshot,
+        instances=list(records.values()),
+        class_objects={name: list(m.values()) for name, m in members.items()},
+    )
 
 
 def restore_incremental(

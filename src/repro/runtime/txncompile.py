@@ -582,7 +582,10 @@ class TxnPlan:
         if recorder is not None:
             recorder.record_commit(_ShimTxn(steps), triggers)
         incremental = system.permission_mode == "incremental"
+        changes = system.changes
         for instance, step, _kind in steps:
+            if changes is not None:
+                changes.note(instance)
             instance.record_step(step)
             if incremental:
                 system._update_monitors(instance, step)

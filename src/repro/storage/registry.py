@@ -274,6 +274,8 @@ class InstanceStore:
         from the live object when resident, straight from the backend
         (storage fields stripped) when paged out -- byte-identical
         either way."""
+        if self.direct:
+            return instance_to_json(self._dicts[class_name][key])
         instance = self._weak.get((class_name, key))
         if instance is not None:
             return instance_to_json(instance)

@@ -443,6 +443,79 @@ class TestTwoPhaseCommit:
 
 
 # ----------------------------------------------------------------------
+# Population quantifiers: one object base vs N shards
+# ----------------------------------------------------------------------
+
+#: COUNTER with a permission over the whole population that can turn false
+BOUNDED_COUNTER_SPEC = COUNTER_SPEC.replace(
+    "{ for all(C: COUNTER : C.Value >= 0) } bump;",
+    "{ for all(C: COUNTER : C.Value < 2) } bump;",
+)
+
+
+def _bump_outcomes(bump):
+    """"ok" or the error name of bumps on COUNTER 4, 4, then 0."""
+    outcomes = []
+    for key in (4, 4, 0):
+        try:
+            bump(key)
+            outcomes.append("ok")
+        except RuntimeSpecError as error:
+            outcomes.append(type(error).__name__)
+    return outcomes
+
+
+def _sync_sharded_outcomes():
+    with ShardedCommunity(BOUNDED_COUNTER_SPEC, shards=2) as community:
+        for key in (4, 0):
+            community.create("COUNTER", {"IdNo": key})
+        return _bump_outcomes(lambda key: community.occur("COUNTER", key, "bump"))
+
+
+def _async_sharded_outcomes():
+    import asyncio
+
+    from repro.distributed import AsyncShardedCommunity
+
+    async def main():
+        async with AsyncShardedCommunity(BOUNDED_COUNTER_SPEC, shards=2) as community:
+            for key in (4, 0):
+                await community.create("COUNTER", {"IdNo": key})
+            outcomes = []
+            for key in (4, 4, 0):
+                try:
+                    await community.occur("COUNTER", key, "bump")
+                    outcomes.append("ok")
+                except RuntimeSpecError as error:
+                    outcomes.append(type(error).__name__)
+            return outcomes
+
+    return asyncio.run(main())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a shard evaluates population quantifiers over its own "
+    "instances only (ROADMAP open item 1)",
+)
+@pytest.mark.parametrize(
+    "sharded", [_sync_sharded_outcomes, _async_sharded_outcomes],
+    ids=["sync", "async"],
+)
+def test_population_quantifier_sees_every_shard(sharded):
+    """COUNTER(4) lives on shard 0 and COUNTER(0) on shard 1.  After
+    two bumps COUNTER(4).Value is 2, so the third bump's permission is
+    false -- but only the shard holding COUNTER(4) can see that."""
+    assert [shard_of_key(key, 2) for key in (4, 0)] == [0, 1]
+    oracle = ObjectBase(BOUNDED_COUNTER_SPEC)
+    for key in (4, 0):
+        oracle.create("COUNTER", {"IdNo": key})
+    expected = _bump_outcomes(lambda key: oracle.occur(("COUNTER", key), "bump"))
+    assert expected == ["ok", "ok", "PermissionDenied"]
+    assert sharded() == expected
+
+
+# ----------------------------------------------------------------------
 # Crash recovery
 # ----------------------------------------------------------------------
 
