@@ -456,62 +456,10 @@ def _serve_decode_arg(arg):
     return arg
 
 
-def _serve_dispatch(community, request: dict) -> dict:
-    from repro.runtime.persistence import value_to_json
-
-    op = request.get("op")
-    class_name = request.get("class")
-    args = [_serve_decode_arg(a) for a in request.get("args") or []]
-    if op == "create":
-        identification = {
-            name: _serve_decode_arg(v)
-            for name, v in (request.get("identification") or {}).items()
-        }
-        key = community.create(
-            class_name, identification or None, request.get("event"), args
-        )
-        return {"ok": True, "key": key if not isinstance(key, tuple) else list(key)}
-    if op == "occur":
-        community.occur(
-            class_name, _serve_decode_key(request.get("key")),
-            request.get("event"), args,
-        )
-        return {"ok": True}
-    if op == "get":
-        value = community.get(
-            class_name, _serve_decode_key(request.get("key")),
-            request.get("attribute"), args,
-        )
-        return {"ok": True, "value": value_to_json(value)}
-    if op == "is_permitted":
-        permitted = community.is_permitted(
-            class_name, _serve_decode_key(request.get("key")),
-            request.get("event"), args,
-        )
-        return {"ok": True, "permitted": permitted}
-    if op == "step":
-        fired = community.step()
-        if fired is None:
-            return {"ok": True, "fired": None}
-        fired_class, key, event = fired
-        return {
-            "ok": True,
-            "fired": {
-                "class": fired_class,
-                "key": key if not isinstance(key, tuple) else list(key),
-                "event": event,
-            },
-        }
-    if op == "export":
-        return {"ok": True, "export": community.merged_export()}
-    if op == "dump":
-        return {"ok": True, "state": community.merged_state()}
-    return {"ok": False, "error": "WireError", "message": f"unknown op {op!r}"}
-
-
 async def _serve_dispatch_async(community, request: dict) -> dict:
-    """The async twin of :func:`_serve_dispatch` (same JSON-lines ops
-    against an :class:`~repro.distributed.aio.AsyncShardedCommunity`)."""
+    """One JSON-lines ``repro serve`` request against an
+    :class:`~repro.distributed.aio.AsyncShardedCommunity`: both the TCP
+    server and the stdin loop dispatch through here."""
     from repro.runtime.persistence import value_to_json
 
     op = request.get("op")
@@ -698,7 +646,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(json.dumps({"ok": True, "status": "bye"}), flush=True)
                 break
             try:
-                reply = _serve_dispatch(community, request)
+                reply = community.run(_serve_dispatch_async, request)
             except TrollError as error:
                 reply = {
                     "ok": False,
@@ -892,8 +840,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_workload_async(args: argparse.Namespace) -> int:
-    """``repro workload --clients N`` (N >= 2): the async pipelined
-    community with N concurrent client coroutines."""
+    """``repro workload --clients N`` (N >= 2): the community driven by
+    N concurrent client coroutines."""
     from repro.distributed.workload import run_async_sharded, run_oracle
     from repro.observability.export import render_shard_prometheus
 
@@ -1214,7 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=None,
         help="serve JSON lines over TCP on this port instead of "
         "stdin/stdout, accepting many concurrent clients against the "
-        "async pipelined community (0 picks an ephemeral port)",
+        "pipelined community (0 picks an ephemeral port)",
     )
     _add_storage_flags(serve)
     serve.set_defaults(func=_cmd_serve)
@@ -1261,9 +1209,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workload.add_argument(
         "--clients", type=int, default=1,
-        help="concurrent client coroutines; 2 or more switches to the "
-        "async pipelined coordinator with group-commit workers "
-        "(default: 1, the synchronous oracle path)",
+        help="concurrent client coroutines; 2 or more drive the "
+        "community from that many pipelined clients, whose group "
+        "commits share fsyncs (default: 1, one blocking client)",
     )
     _add_storage_flags(workload)
     workload.set_defaults(func=_cmd_workload)

@@ -1,995 +1,116 @@
-"""The coordinator: routing, two-phase commit, crash recovery.
+"""The blocking face of the sharded community.
 
-:class:`ShardedCommunity` is the client face of the sharded
-object-community server.  It forks N shard worker processes (each
-hosting a :class:`~repro.distributed.shardbase.ShardObjectBase` over the
-full specification), routes every request to the owning shard by
-identity hash (or placement pin), and exposes the society interface of
-a single object base: ``create`` / ``occur`` / ``get`` /
-``is_permitted`` / ``step`` / ``run_active`` plus merged state and
-telemetry.
+:class:`ShardedCommunity` offers the society interface of
+:class:`~repro.distributed.aio.AsyncShardedCommunity` -- the one
+implementation of routing, retry and respawn, two-phase commit, merged
+state and telemetry (see that module) -- as plain blocking calls, for
+callers without an event loop of their own: the CLI commands, the
+benchmarks and the tests.
 
-**Cross-shard synchronization sets** (Section 6's communicating
-modules): when a worker reports ``needs_2pc`` -- its dry run captured
-event calls into identities owned by other shards -- the coordinator
-drives a two-phase protocol:
+The facade owns a private event loop that runs in the caller's thread,
+and each call runs the core's coroutine to completion on it.  No thread
+is involved: none exists when the core forks a worker, and a call costs
+no cross-thread hand-off.  The core is built *inside* that loop, because
+on Python 3.9 an :class:`asyncio.Lock` binds to the loop current when it
+is constructed.
 
-1. *Prepare fixpoint*: route the captured calls to their owners, ask
-   every participating shard to dry-run its sub-unit
-   (``prepare_group``), and fold newly discovered remote calls back in
-   until the participant set is closed (bounded by
-   ``MAX_2PC_ROUNDS``).
-2. *Commit*: all shards voted yes -> each commits its sub-unit as one
-   atomic local unit (``commit_group``).  *Abort*: any no-vote ->
-   every participant journals a rollback tombstone (``abort_group``)
-   and the original denial is re-raised with its original type.
-
-The coordinator is single-threaded, so distributed units are serialized
--- there are no concurrent conflicting prepares and a yes-vote cannot
-be invalidated before its commit arrives.
-
-**Robustness**: every request has a timeout; on timeout, a broken pipe
-or a dead worker the coordinator kills and respawns the shard (which
-recovers from its spool -- snapshot + journal suffix replay) and
-retries with exponential backoff.  Mutating requests carry a request id
-the worker spools with the journal, so a retry after a crashed-but-
-applied request is acknowledged instead of applied twice.
-
-**Telemetry** (``observe=True`` for metrics, ``trace=True`` for both):
-the coordinator opens one ``request`` root span per society-interface
-call and a ``dispatch`` child span per wire round-trip, stamps request
-frames with the trace context, grafts the span batches workers ship
-back under the carrying dispatch span, and emits the *fully merged*
-request tree to its ring (and the optional slow-request log) -- see
-:mod:`repro.observability.distributed`.  Retries, timeouts and crash
-respawns surface as counters and annotated ``respawn`` spans; 2PC
-phases appear as ``2pc.prepare`` / ``2pc.commit`` / ``2pc.abort``
-spans with the root marked ``2pc=True``.
+Between calls the loop does not run, so nothing restarts a shard in the
+background: a call that gives up on a shard (:class:`ShardUnavailable`)
+respawns it before it returns, and the next call finds a recovered
+worker.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
-import random
-import socket
-import time
-from contextlib import nullcontext
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import asyncio
+from typing import Any, Dict
 
-from repro.datatypes.values import Value, from_python
-from repro.diagnostics import CheckError, RuntimeSpecError, TrollError
-from repro.distributed.shardbase import Partitioner
-from repro.distributed.wire import (
-    WireError,
-    WireTimeout,
-    recv_frame,
-    send_frame,
-)
-from repro.distributed.worker import (
-    error_class,
-    occurrence_from_wire,
-    worker_main,
-)
-from repro.observability.distributed import (
-    SlowRequestLog,
-    attach_remote_spans,
-    request_traces,
-    trace_by_id,
-)
-from repro.observability.export import merge_fleet_registry
-from repro.observability.hooks import Observability
-from repro.observability.profile import ProfileNode
-from repro.observability.tracer import RingBufferSink, Span
-from repro.lang.checker import check_specification
-from repro.lang.parser import parse_specification
-from repro.runtime.compilespec import compile_specification
-from repro.runtime.persistence import (
-    _payload_from_json,
-    _payload_to_json,
-    value_to_json,
-    value_from_json,
+from repro.distributed.aio import (  # noqa: F401 -- re-exported
+    BACKOFF_CAP,
+    MAX_2PC_ROUNDS,
+    AsyncShardedCommunity,
+    ShardUnavailable,
+    backoff_delay,
+    merge_states,
+    normalize_state,
 )
 
-#: bound on the prepare fixpoint (each round can only add shards or
-#: items; real calling chains close in one or two rounds)
-MAX_2PC_ROUNDS = 8
 
-#: ceiling on the retry backoff: one worker's restart must never stall
-#: traffic for longer than this per attempt, however many attempts the
-#: exponential curve has already climbed
-BACKOFF_CAP = 1.0
+def _blocking(name: str):
+    """A facade method that runs the core coroutine ``name`` to
+    completion."""
 
-#: shared no-op `with` target for untraced phase spans
-_NULL_CONTEXT = nullcontext()
+    def method(self, *args, **kwargs):
+        return self._run(getattr(self._core, name)(*args, **kwargs))
 
-
-def backoff_delay(
-    attempt: int,
-    base: float,
-    cap: float = BACKOFF_CAP,
-    jitter: Optional[float] = None,
-) -> float:
-    """The sleep before retry ``attempt + 1``: exponential in
-    ``attempt``, capped at ``cap``, with jitter drawn uniformly from
-    ``[delay/2, delay]`` so simultaneous retries against one restarting
-    worker de-synchronize instead of stampeding in lockstep.
-
-    ``jitter`` pins the uniform draw to a value in ``[0, 1]`` for
-    deterministic tests; ``None`` draws from :func:`random.random`."""
-    if base <= 0:
-        return 0.0
-    delay = min(float(cap), base * (2 ** attempt))
-    fraction = random.random() if jitter is None else jitter
-    return delay * (0.5 + 0.5 * fraction)
-
-
-def remote_error(
-    response: Dict[str, Any], index: Optional[int] = None
-) -> TrollError:
-    """Rebuild a shard-side error with its original type *and* its
-    original error-carrying contract: the failing
-    :class:`~repro.diagnostics.OccurrenceRef` and the shard identity
-    travel on the error frame and are restored here."""
-    exc = error_class(response.get("error", "RuntimeSpecError"))(
-        response.get("message", f"shard {index} error")
-    )
-    failed = response.get("failed_ref")
-    if failed:
-        exc.occurrence = occurrence_from_wire(failed)
-    shard = response.get("shard", index)
-    if shard is not None:
-        exc.shard = shard
-    return exc
-
-
-class ShardUnavailable(TrollError):
-    """A worker stayed unreachable through every retry and restart."""
-
-
-class _WorkerHandle:
-    __slots__ = ("index", "process", "sock")
-
-    def __init__(self, index: int, process, sock: socket.socket):
-        self.index = index
-        self.process = process
-        self.sock = sock
-
-
-def _item_key(item: Dict[str, Any]) -> Tuple[str, str, str, str]:
-    """Canonical dedup key of a wire item (or captured remote call)."""
-    if item.get("type") == "create":
-        return (
-            item["class"],
-            "create:" + json.dumps(item.get("identification"), sort_keys=True),
-            item.get("event") or "",
-            json.dumps(item.get("args") or [], sort_keys=True),
-        )
-    return (
-        item["class"],
-        json.dumps(item["key"], sort_keys=True),
-        item["event"],
-        json.dumps(item.get("args") or [], sort_keys=True),
-    )
-
-
-def merge_states(states: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge per-shard ``dump_state`` snapshots into one canonical
-    snapshot (instances sorted by class and identity; class-object
-    member sets unioned and sorted)."""
-    instances: List[Dict[str, Any]] = []
-    class_objects: Dict[str, List[Any]] = {}
-    for state in states:
-        instances.extend(state.get("instances", []))
-        for name, members in state.get("class_objects", {}).items():
-            class_objects.setdefault(name, []).extend(members)
-    instances.sort(key=lambda r: (r["class"], json.dumps(r["key"], sort_keys=True)))
-    first = states[0] if states else {}
-    return {
-        "format": first.get("format"),
-        "permission_mode": first.get("permission_mode"),
-        "instances": instances,
-        "class_objects": {
-            name: sorted(members, key=lambda m: json.dumps(m, sort_keys=True))
-            for name, members in class_objects.items()
-        },
-    }
-
-
-def normalize_state(state: Dict[str, Any]) -> Dict[str, Any]:
-    """A single-process ``dump_state`` in the same canonical order as
-    :func:`merge_states` output (the oracle side of equivalence tests)."""
-    return merge_states([state])
+    method.__name__ = name
+    method.__doc__ = getattr(AsyncShardedCommunity, name).__doc__
+    return method
 
 
 class ShardedCommunity:
-    """A society interface over N shard worker processes."""
+    """A blocking society interface over N shard worker processes.
 
-    def __init__(
-        self,
-        spec: str,
-        shards: int = 4,
-        placement: Optional[Dict[str, int]] = None,
-        spool_dir: Optional[str] = None,
-        permission_mode: str = "incremental",
-        check_constraints: bool = True,
-        probe_cache: bool = True,
-        snapshot_interval: int = 64,
-        request_timeout: float = 30.0,
-        retries: int = 2,
-        backoff: float = 0.05,
-        observe: bool = False,
-        trace: bool = False,
-        trace_capacity: int = 256,
-        slow_threshold: Optional[float] = None,
-        slow_log_path: Optional[str] = None,
-        span_batch_limit: Optional[int] = None,
-        profile: Optional[str] = None,
-        profile_interval: int = 16,
-        profile_limit: Optional[int] = None,
-        storage: Optional[str] = None,
-        hot_set: Optional[int] = None,
-        txn_compile: Optional[bool] = None,
-        start: bool = True,
-    ):
-        if not isinstance(spec, str):
-            raise CheckError(
-                "ShardedCommunity needs specification text (workers "
-                "re-parse it in their own processes)"
-            )
-        checked = check_specification(parse_specification(spec))
-        checked.raise_if_errors()
-        self.compiled = compile_specification(checked)
-        self.spec_text = spec
-        self.shards = shards
-        self.partitioner = Partitioner(self.compiled, shards, placement)
-        self.placement = dict(placement or {})
-        self.spool_dir = spool_dir
-        self.permission_mode = permission_mode
-        self.check_constraints = check_constraints
-        self.probe_cache = probe_cache
-        self.snapshot_interval = snapshot_interval
-        self.request_timeout = request_timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.observe = observe
-        self.trace = trace
-        self.span_batch_limit = span_batch_limit
-        #: spec-level profiling mode shipped to every worker ("exact" /
-        #: "sampling" / None); workers drain bounded profile dumps onto
-        #: response frames, merged per shard for :meth:`fleet_profile`
-        self.profile = profile
-        self.profile_interval = profile_interval
-        self.profile_limit = profile_limit
-        #: storage backend spec shipped to every worker; path-bearing
-        #: specs are suffixed per shard (storage_for_shard) so workers
-        #: never share page files
-        self.storage = storage
-        self.hot_set = hot_set
-        #: fused-transaction mode shipped to every worker (None defers
-        #: to each worker process's REPRO_TXN_COMPILE default)
-        self.txn_compile = txn_compile
-        self.profile_pruned = 0
-        self._profiles: Dict[int, Dict[str, Any]] = {}
-        #: worker restarts observed (crash detection + recovery)
-        self.restarts = 0
-        #: telemetry spans truncated off response frames (fleet-wide
-        #: counterpart lives in each worker's ``spans_dropped``)
-        self.spans_dropped = 0
-        self.in_flight = 0
-        self.slow_log: Optional[SlowRequestLog] = None
-        if trace:
-            sinks = [RingBufferSink(trace_capacity)]
-            if slow_threshold is not None:
-                self.slow_log = SlowRequestLog(slow_threshold, path=slow_log_path)
-                sinks.append(self.slow_log)
-            self.obs: Optional[Observability] = Observability(
-                tracing=True, sinks=sinks
-            )
-        elif observe:
-            self.obs = Observability(tracing=False)
-        else:
-            self.obs = None
-        self._tids = itertools.count(1)
-        self._sids = itertools.count(1)
-        self._current_tid: Optional[str] = None
-        self._root: Optional[Span] = None
-        self._workers: List[Optional[_WorkerHandle]] = [None] * shards
-        self._rids = itertools.count(1)
-        self._closed = False
-        if start:
-            self.start()
+    Takes the arguments of :class:`AsyncShardedCommunity` and spawns the
+    workers at construction.  Synchronous members of the core --
+    ``restarts``, ``spans_dropped``, ``traces()``, ``find_trace()``,
+    ``slow_requests()``, ``fleet_profile()``, ``kill_worker()`` and the
+    rest -- are reached through this object unchanged."""
 
-    # ------------------------------------------------------------------
-    # Worker lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        for index in range(self.shards):
-            if self._workers[index] is None:
-                self._spawn(index)
-
-    def _worker_config(self, index: int) -> Dict[str, Any]:
-        return {
-            "spec": self.spec_text,
-            "shard_index": index,
-            "shards": self.shards,
-            "placement": self.placement,
-            "spool_dir": self.spool_dir,
-            "permission_mode": self.permission_mode,
-            "check_constraints": self.check_constraints,
-            "probe_cache": self.probe_cache,
-            "snapshot_interval": self.snapshot_interval,
-            "observe": self.observe,
-            "trace": self.trace,
-            "span_batch_limit": self.span_batch_limit,
-            "profile": self.profile,
-            "profile_interval": self.profile_interval,
-            "profile_limit": self.profile_limit,
-            "storage": self.storage,
-            "hot_set": self.hot_set,
-            "txn_compile": self.txn_compile,
-        }
-
-    def _spawn(self, index: int) -> _WorkerHandle:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        parent_sock, child_sock = socket.socketpair()
-        process = ctx.Process(
-            target=worker_main,
-            args=(child_sock, self._worker_config(index)),
-            daemon=True,
-            name=f"repro-shard-{index}",
-        )
-        process.start()
-        child_sock.close()
-        handle = _WorkerHandle(index, process, parent_sock)
-        self._workers[index] = handle
-        return handle
-
-    def _restart(self, index: int) -> _WorkerHandle:
-        """Kill whatever is left of a shard and respawn it; the fresh
-        worker recovers from its spool (snapshot + journal replay)."""
-        handle = self._workers[index]
-        if handle is not None:
-            try:
-                handle.sock.close()
-            except OSError:
-                pass
-            if handle.process.is_alive():
-                handle.process.terminate()
-            handle.process.join(timeout=5)
-            self._workers[index] = None
-        self.restarts += 1
-        return self._spawn(index)
-
-    def kill_worker(self, index: int) -> None:
-        """Hard-kill one shard process (fault injection for tests); the
-        next request to the shard triggers crash detection + restart."""
-        handle = self._workers[index]
-        if handle is not None and handle.process.is_alive():
-            handle.process.terminate()
-            handle.process.join(timeout=5)
-
-    # ------------------------------------------------------------------
-    # The request machinery: timeout, retry/backoff, restart
-    # ------------------------------------------------------------------
-
-    def _request(
-        self, index: int, message: Dict[str, Any], timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        if self._closed:
-            raise ShardUnavailable("the community has been closed")
-        obs = self.obs
-        if obs is None:
-            return self._request_attempts(index, message, timeout, None)
-        op = message.get("op")
-        start = time.perf_counter()
+    def __init__(self, spec: str, **options: Any):
+        self._loop = asyncio.new_event_loop()
         try:
-            if obs.tracing:
-                # One dispatch span per wire round-trip; the context on
-                # the frame tells the worker which span to parent under.
-                sid = f"s{next(self._sids)}"
-                message = dict(
-                    message, trace={"tid": self._current_tid or "", "sid": sid}
-                )
-                with obs.tracer.span(
-                    "dispatch", op=op, shard=index, sid=sid
-                ) as span:
-                    response = self._request_attempts(index, message, timeout, span)
-                    batch = response.pop("spans", None)
-                    if batch:
-                        attach_remote_spans(span, batch)
-                    dropped = response.pop("spans_dropped", 0)
-                    if dropped:
-                        self.spans_dropped += dropped
-                        obs.metrics.counter("rpc.spans_dropped").inc(dropped)
-                        span.set("spans_dropped", dropped)
-                return response
-            return self._request_attempts(index, message, timeout, None)
-        finally:
-            obs.metrics.histogram("rpc").observe(time.perf_counter() - start)
-            obs.metrics.counter("rpc.requests").inc(labels=(str(op),))
-
-    def _request_attempts(
-        self,
-        index: int,
-        message: Dict[str, Any],
-        timeout: Optional[float],
-        span: Optional[Span],
-    ) -> Dict[str, Any]:
-        timeout = self.request_timeout if timeout is None else timeout
-        attempts = self.retries + 1
-        last_error: Optional[Exception] = None
-        for attempt in range(attempts):
-            handle = self._workers[index]
-            if handle is None or not handle.process.is_alive():
-                handle = self._restart_observed(index, span, "dead_worker")
-            try:
-                send_frame(handle.sock, message)
-                response = recv_frame(handle.sock, timeout=timeout)
-                # Profile batches ride every response frame (tracing or
-                # not); absorb them here so no caller ever sees them.
-                dump = response.pop("profile", None)
-                if dump is not None:
-                    self._absorb_profile(
-                        index, dump, response.pop("profile_pruned", 0)
-                    )
-                return response
-            except (WireError, OSError) as exc:
-                # Crash or hang.  A timed-out socket cannot be reused (a
-                # late reply would desynchronize the framing), so the
-                # shard is restarted either way; the worker's applied-id
-                # spool makes retried mutations exactly-once.
-                last_error = exc
-                if self.obs is not None:
-                    kind = "timeout" if isinstance(exc, WireTimeout) else "crash"
-                    self.obs.metrics.counter("rpc.failures").inc(labels=(kind,))
-                self._restart_observed(index, span, type(exc).__name__)
-                if attempt + 1 < attempts:
-                    if self.obs is not None:
-                        self.obs.metrics.counter("rpc.retries").inc()
-                    if span is not None:
-                        span.set("retries", attempt + 1)
-                    time.sleep(backoff_delay(attempt, self.backoff))
-        raise ShardUnavailable(
-            f"shard {index} unreachable after {attempts} attempt(s): "
-            f"{type(last_error).__name__}: {last_error}"
-        )
-
-    def _restart_observed(
-        self, index: int, span: Optional[Span], reason: str
-    ) -> _WorkerHandle:
-        """Restart a shard, surfacing the respawn in telemetry (a
-        counter, plus an annotated span inside the carrying dispatch)."""
-        obs = self.obs
-        if obs is None:
-            return self._restart(index)
-        obs.metrics.counter("rpc.respawns").inc(labels=(str(index),))
-        if obs.tracing and span is not None:
-            with obs.tracer.span("respawn", shard=index, reason=reason):
-                return self._restart(index)
-        return self._restart(index)
-
-    def _remote_error(
-        self, response: Dict[str, Any], index: Optional[int] = None
-    ) -> TrollError:
-        return remote_error(response, index)
-
-    def _call(
-        self, index: int, message: Dict[str, Any], timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        response = self._request(index, message, timeout)
-        if not response.get("ok"):
-            raise self._remote_error(response, index)
-        return response
-
-    def _rid(self) -> str:
-        return f"r{next(self._rids)}"
-
-    # ------------------------------------------------------------------
-    # Routing helpers
-    # ------------------------------------------------------------------
-
-    def _route(self, class_name: str, key) -> Tuple[Any, int]:
-        if class_name not in self.compiled.classes:
-            raise CheckError(f"unknown class {class_name!r}")
-        payload = key.payload if isinstance(key, Value) else key
-        return payload, self.partitioner.shard_of(class_name, payload)
+            self._core = self._loop.run_until_complete(self._start(spec, options))
+        except BaseException:
+            self._loop.close()
+            raise
 
     @staticmethod
-    def _encode_args(args: Sequence[object]) -> List[Any]:
-        return [value_to_json(from_python(a)) for a in args]
+    async def _start(spec: str, options: Dict[str, Any]) -> AsyncShardedCommunity:
+        return await AsyncShardedCommunity(spec, **options).start()
 
-    # ------------------------------------------------------------------
-    # The society interface
-    # ------------------------------------------------------------------
-
-    def _observed(self, op: str, attributes: Dict[str, Any], thunk):
-        """Run one society-interface call under telemetry: a fresh
-        trace id, a ``request`` root span (when tracing) every dispatch
-        nests under, and per-op latency histograms.  Never entered when
-        ``self.obs`` is None -- the disabled path stays zero-overhead."""
-        obs = self.obs
-        self.in_flight += 1
-        start = time.perf_counter()
+    def _run(self, coroutine):
+        if self._loop.is_closed():
+            coroutine.close()
+            raise ShardUnavailable("the community has been closed")
         try:
-            if obs.tracing:
-                tid = f"t{next(self._tids)}"
-                previous = (self._current_tid, self._root)
-                self._current_tid = tid
-                try:
-                    with obs.tracer.span(
-                        "request", op=op, tid=tid, **attributes
-                    ) as span:
-                        self._root = span
-                        return thunk()
-                finally:
-                    self._current_tid, self._root = previous
-            return thunk()
-        finally:
-            self.in_flight -= 1
-            elapsed = time.perf_counter() - start
-            obs.metrics.histogram("request").observe(elapsed)
-            obs.metrics.histogram(f"request.{op}").observe(elapsed)
+            return self._loop.run_until_complete(coroutine)
+        except ShardUnavailable:
+            # no loop runs between calls to respawn the shard later
+            self._loop.run_until_complete(self._core._revive())
+            raise
 
-    def create(
-        self,
-        class_name: str,
-        identification: Optional[dict] = None,
-        event: Optional[str] = None,
-        args: Sequence[object] = (),
-    ):
-        """Create an instance on its owning shard; returns the identity
-        payload (the routing key for later calls)."""
-        if self.obs is not None:
-            return self._observed(
-                "create",
-                {"class": class_name},
-                lambda: self._create_core(class_name, identification, event, args),
-            )
-        return self._create_core(class_name, identification, event, args)
+    def __getattr__(self, name: str):
+        core = self.__dict__.get("_core")
+        if core is None:
+            raise AttributeError(name)
+        return getattr(core, name)
 
-    def _create_core(
-        self,
-        class_name: str,
-        identification: Optional[dict],
-        event: Optional[str],
-        args: Sequence[object],
-    ):
-        if class_name not in self.compiled.classes:
-            raise CheckError(f"unknown class {class_name!r}")
-        compiled = self.compiled.classes[class_name]
-        payload = self.partitioner.identity_payload(compiled, identification)
-        shard = self.partitioner.shard_of(class_name, payload)
-        item = {
-            "type": "create",
-            "class": class_name,
-            "identification": {
-                name: value_to_json(from_python(v))
-                for name, v in (identification or {}).items()
-            },
-            "event": event,
-            "args": self._encode_args(args),
-        }
-        message = dict(item, op="create", rid=self._rid())
-        message.pop("type")
-        response = self._call(shard, message)
-        if response.get("status") == "needs_2pc":
-            self._run_2pc({shard: [item]}, response.get("remote", []))
-        return payload
+    create = _blocking("create")
+    occur = _blocking("occur")
+    get = _blocking("get")
+    is_permitted = _blocking("is_permitted")
+    step = _blocking("step")
+    run_active = _blocking("run_active")
+    merged_state = _blocking("merged_state")
+    merged_export = _blocking("merged_export")
+    fleet_metrics = _blocking("fleet_metrics")
+    snapshot_all = _blocking("snapshot_all")
+    ping_all = _blocking("ping_all")
+    _request = _blocking("_request")
 
-    def occur(
-        self, class_name: str, key, event: str, args: Sequence[object] = ()
-    ) -> None:
-        """Drive one event occurrence (plus its synchronization set,
-        across shards when event calling requires it)."""
-        if self.obs is not None:
-            return self._observed(
-                "occur",
-                {"class": class_name, "event": event},
-                lambda: self._occur_core(class_name, key, event, args),
-            )
-        return self._occur_core(class_name, key, event, args)
-
-    def _occur_core(
-        self, class_name: str, key, event: str, args: Sequence[object]
-    ) -> None:
-        payload, shard = self._route(class_name, key)
-        item = {
-            "type": "occur",
-            "class": class_name,
-            "key": _payload_to_json(payload),
-            "event": event,
-            "args": self._encode_args(args),
-        }
-        message = dict(item, op="occur", rid=self._rid())
-        message.pop("type")
-        response = self._call(shard, message)
-        if response.get("status") == "needs_2pc":
-            self._run_2pc({shard: [item]}, response.get("remote", []))
-
-    def get(
-        self, class_name: str, key, attribute: str, args: Sequence[object] = ()
-    ) -> Value:
-        if self.obs is not None:
-            return self._observed(
-                "get",
-                {"class": class_name, "attribute": attribute},
-                lambda: self._get_core(class_name, key, attribute, args),
-            )
-        return self._get_core(class_name, key, attribute, args)
-
-    def _get_core(
-        self, class_name: str, key, attribute: str, args: Sequence[object]
-    ) -> Value:
-        payload, shard = self._route(class_name, key)
-        response = self._call(
-            shard,
-            {
-                "op": "get",
-                "class": class_name,
-                "key": _payload_to_json(payload),
-                "attribute": attribute,
-                "args": self._encode_args(args),
-            },
-        )
-        return value_from_json(response["value"])
-
-    def is_permitted(
-        self, class_name: str, key, event: str, args: Sequence[object] = ()
-    ) -> bool:
-        if self.obs is not None:
-            return self._observed(
-                "is_permitted",
-                {"class": class_name, "event": event},
-                lambda: self._is_permitted_core(class_name, key, event, args),
-            )
-        return self._is_permitted_core(class_name, key, event, args)
-
-    def _is_permitted_core(
-        self, class_name: str, key, event: str, args: Sequence[object]
-    ) -> bool:
-        payload, shard = self._route(class_name, key)
-        item = {
-            "type": "occur",
-            "class": class_name,
-            "key": _payload_to_json(payload),
-            "event": event,
-            "args": self._encode_args(args),
-        }
-        message = dict(item, op="is_permitted")
-        message.pop("type")
-        response = self._call(shard, message)
-        if response.get("status") == "needs_2pc":
-            ok, _failure, _groups = self._prepare_fixpoint(
-                {shard: [item]}, response.get("remote", [])
-            )
-            return ok
-        return bool(response.get("permitted"))
-
-    def step(self) -> Optional[Tuple[str, Any, str]]:
-        """Fire one enabled active event somewhere in the community;
-        returns (class, key, event) or None at quiescence.  Shards are
-        polled in index order; a cross-shard candidate whose distributed
-        unit aborts is skipped this round."""
-        if self.obs is not None:
-            return self._observed("step", {}, self._step_core)
-        return self._step_core()
-
-    def _step_core(self) -> Optional[Tuple[str, Any, str]]:
-        for shard in range(self.shards):
-            response = self._call(shard, {"op": "step", "rid": self._rid()})
-            status = response.get("status")
-            if status == "fired":
-                return (
-                    response["class"],
-                    _payload_from_json(response["key"]),
-                    response["event"],
-                )
-            if status == "needs_2pc_candidate":
-                item = {
-                    "type": "occur",
-                    "class": response["class"],
-                    "key": response["key"],
-                    "event": response["event"],
-                    "args": [],
-                }
-                try:
-                    self._run_2pc({shard: [item]}, [])
-                except RuntimeSpecError:
-                    continue
-                return (
-                    response["class"],
-                    _payload_from_json(response["key"]),
-                    response["event"],
-                )
-        return None
-
-    def run_active(self, max_steps: int = 100) -> List[Tuple[str, Any, str]]:
-        fired: List[Tuple[str, Any, str]] = []
-        for _ in range(max_steps):
-            occurrence = self.step()
-            if occurrence is None:
-                break
-            fired.append(occurrence)
-        return fired
-
-    # ------------------------------------------------------------------
-    # Two-phase commit
-    # ------------------------------------------------------------------
-
-    def _span(self, name: str, **attributes: Any):
-        """A coordinator-side span context (shared no-op when tracing is
-        off; the yielded value is then None)."""
-        obs = self.obs
-        if obs is not None and obs.tracing:
-            return obs.tracer.span(name, **attributes)
-        return _NULL_CONTEXT
-
-    def _prepare_fixpoint(
-        self,
-        groups: Dict[int, List[Dict[str, Any]]],
-        remote: List[Dict[str, Any]],
-    ) -> Tuple[bool, Optional[Dict[str, Any]], Dict[int, List[Dict[str, Any]]]]:
-        """Close the participant set: route captured remote calls to
-        their owners and re-prepare until no new items appear.  Returns
-        (all_voted_yes, failing_response_or_None, groups)."""
-        seen = {
-            _item_key(item) for items in groups.values() for item in items
-        }
-        queue = list(remote)
-        with self._span("2pc.prepare") as span:
-            for round_index in range(MAX_2PC_ROUNDS):
-                for call in queue:
-                    key = _item_key(call)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    payload = _payload_from_json(call["key"])
-                    owner = self.partitioner.shard_of(call["class"], payload)
-                    groups.setdefault(owner, []).append(
-                        {
-                            "type": "occur",
-                            "class": call["class"],
-                            "key": call["key"],
-                            "event": call["event"],
-                            "args": call.get("args") or [],
-                        }
-                    )
-                queue = []
-                for shard in sorted(groups):
-                    response = self._call(
-                        shard, {"op": "prepare_group", "items": groups[shard]}
-                    )
-                    if not response.get("vote"):
-                        if span is not None:
-                            span.set("vote", False)
-                            span.set("no_vote_shard", response.get("shard", shard))
-                        return False, response, groups
-                    for call in response.get("remote", []):
-                        if _item_key(call) not in seen:
-                            queue.append(call)
-                if not queue:
-                    if span is not None:
-                        span.set("rounds", round_index + 1)
-                        span.set("shards", sorted(groups))
-                    return True, None, groups
-        raise RuntimeSpecError(
-            f"distributed synchronization set did not close within "
-            f"{MAX_2PC_ROUNDS} prepare rounds (calling cycle across shards?)"
-        )
-
-    def _run_2pc(
-        self,
-        groups: Dict[int, List[Dict[str, Any]]],
-        remote: List[Dict[str, Any]],
-    ) -> None:
-        obs = self.obs
-        if self._root is not None:
-            self._root.set("2pc", True)
-        if obs is not None:
-            obs.metrics.counter("2pc.units").inc()
-        ok, failure, groups = self._prepare_fixpoint(groups, remote)
-        if not ok:
-            reason = failure.get("error", "RuntimeSpecError")
-            message = failure.get("message", "distributed unit aborted")
-            if obs is not None:
-                obs.metrics.counter("2pc.aborts").inc(labels=(reason,))
-            with self._span("2pc.abort", reason=reason):
-                for shard in sorted(groups):
-                    # Tombstones on every participant, best-effort: a
-                    # shard that cannot journal the abort has nothing
-                    # committed.
-                    try:
-                        self._call(
-                            shard,
-                            {
-                                "op": "abort_group",
-                                "items": groups[shard],
-                                "reason": reason,
-                                "message": message,
-                            },
-                        )
-                    except TrollError:
-                        pass
-            # Re-raise with the original type, failing occurrence and
-            # shard identity (they travelled on the no-vote response).
-            raise self._remote_error(failure)
-        with self._span("2pc.commit", shards=sorted(groups)):
-            for shard in sorted(groups):
-                # All voted yes, and the single-threaded coordinator
-                # admits no conflicting unit in between -- commits
-                # cannot be denied.  A crash mid-round is covered by
-                # restart + the rid spool.
-                self._call(
-                    shard,
-                    {
-                        "op": "commit_group",
-                        "rid": self._rid(),
-                        "items": groups[shard],
-                    },
-                )
-        if obs is not None:
-            obs.metrics.counter("2pc.commits").inc()
-
-    # ------------------------------------------------------------------
-    # Merged state and telemetry
-    # ------------------------------------------------------------------
-
-    def merged_state(self) -> Dict[str, Any]:
-        """The community's full state as one canonical ``dump_state``
-        snapshot (compare against :func:`normalize_state` of an oracle)."""
-        states = [
-            self._call(shard, {"op": "dump"})["state"]
-            for shard in range(self.shards)
-        ]
-        return merge_states(states)
-
-    def merged_export(self) -> Dict[str, Any]:
-        """Per-shard counters, the coordinator's own counters and
-        metrics dump, plus community totals -- the document the fleet
-        renderers (:func:`~repro.observability.export.render_fleet_prometheus`)
-        consume."""
-        shards = [
-            self._call(shard, {"op": "export"}) for shard in range(self.shards)
-        ]
-        totals = {
-            "requests": sum(s.get("requests", 0) for s in shards),
-            "commits": sum(s.get("commits", 0) for s in shards),
-            "rollbacks": sum(s.get("rollbacks", 0) for s in shards),
-            "journal_depth": sum(s.get("journal_depth", 0) for s in shards),
-            "restarts": self.restarts,
-            "spans_dropped": self.spans_dropped
-            + sum(s.get("spans_dropped", 0) for s in shards),
-        }
-        coordinator = {
-            "restarts": self.restarts,
-            "in_flight": self.in_flight,
-            "spans_dropped": self.spans_dropped,
-            "slow_requests": self.slow_log.total if self.slow_log else 0,
-            "metrics_dump": self.obs.metrics.dump() if self.obs else None,
-        }
-        return {"shards": shards, "coordinator": coordinator, "totals": totals}
-
-    def fleet_metrics(self):
-        """One merged :class:`~repro.observability.metrics.MetricsRegistry`
-        over the coordinator and every shard (histograms merged
-        bucket-by-bucket)."""
-        return merge_fleet_registry(self.merged_export())
-
-    def _absorb_profile(
-        self, index: int, dump: Dict[str, Any], pruned: int
-    ) -> None:
-        """Merge a worker's drained profile batch under its shard node."""
-        state = self._profiles.get(index)
-        if state is None:
-            state = self._profiles[index] = {
-                "node": ProfileNode(f"shard:{index}"),
-                "mode": dump.get("mode", "exact"),
-                "interval": dump.get("interval", 1),
-                "total_roots": 0,
-                "sampled_roots": 0,
-                "pruned": 0,
-            }
-        state["node"].merge_dict(dump["tree"])
-        state["total_roots"] += dump.get("total_roots", 0)
-        state["sampled_roots"] += dump.get("sampled_roots", 0)
-        if pruned:
-            state["pruned"] += pruned
-            self.profile_pruned += pruned
-
-    def fleet_profile(self) -> Dict[str, Any]:
-        """One merged spec-level profile over the whole fleet: a dump
-        whose tree has one ``shard:N`` subtree per shard that reported
-        work (same shape as a :class:`Profiler` dump, so every exporter
-        and the ``repro profile`` renderer apply unchanged)."""
-        children = []
-        total = sampled = pruned = 0
-        mode = self.profile or "exact"
-        interval = self.profile_interval
-        for index in sorted(self._profiles):
-            state = self._profiles[index]
-            children.append(state["node"].to_dict())
-            total += state["total_roots"]
-            sampled += state["sampled_roots"]
-            pruned += state["pruned"]
-        tree: Dict[str, Any] = {
-            "name": "fleet",
-            "calls": sampled,
-            "seconds": sum(child["seconds"] for child in children),
-        }
-        if children:
-            tree["children"] = children
-        dump = {
-            "mode": mode,
-            "interval": interval,
-            "total_roots": total,
-            "sampled_roots": sampled,
-            "scale": (total / sampled) if sampled else 1.0,
-            "tree": tree,
-        }
-        if pruned:
-            dump["pruned"] = pruned
-        return dump
-
-    def traces(self) -> List[Span]:
-        """The merged request trace trees currently in the ring sink
-        (oldest first); empty when tracing is off."""
-        if self.obs is None or self.obs.ring is None:
-            return []
-        return request_traces(self.obs.ring.spans)
-
-    def find_trace(self, trace_id: str) -> Optional[Span]:
-        """The merged request tree with the given trace id, or None."""
-        if self.obs is None or self.obs.ring is None:
-            return None
-        return trace_by_id(self.obs.ring.spans, trace_id)
-
-    def slow_requests(self) -> List[Span]:
-        """Merged traces captured by the slow-request log (empty when no
-        threshold was configured)."""
-        return list(self.slow_log.entries) if self.slow_log else []
-
-    def snapshot_all(self) -> List[int]:
-        """Force every shard to spool a fresh snapshot; returns the
-        per-shard journal high-water marks."""
-        return [
-            self._call(shard, {"op": "snapshot"})["journal_seq"]
-            for shard in range(self.shards)
-        ]
-
-    def ping_all(self) -> List[Dict[str, Any]]:
-        return [
-            self._call(shard, {"op": "ping"}) for shard in range(self.shards)
-        ]
-
-    # ------------------------------------------------------------------
-    # Shutdown
-    # ------------------------------------------------------------------
+    def run(self, function, *args: Any):
+        """Run ``function(core, *args)`` -- a coroutine function over
+        the async community -- to completion on the facade's loop."""
+        return self._run(function(self._core, *args))
 
     def close(self) -> None:
-        if self._closed:
+        if self._loop.is_closed():
             return
-        self._closed = True
-        for index, handle in enumerate(self._workers):
-            if handle is None:
-                continue
-            try:
-                send_frame(handle.sock, {"op": "shutdown"})
-                recv_frame(handle.sock, timeout=2.0)
-            except (WireError, OSError):
-                pass
-            try:
-                handle.sock.close()
-            except OSError:
-                pass
-            handle.process.join(timeout=5)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=5)
-            self._workers[index] = None
+        try:
+            self._loop.run_until_complete(self._core.close())
+        finally:
+            self._loop.close()
 
     def __enter__(self) -> "ShardedCommunity":
         return self

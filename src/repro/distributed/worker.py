@@ -5,11 +5,21 @@ and probe cache) and serves the society-interface-shaped wire protocol
 over a single socket: ``occur``, ``create``, ``get``, ``is_permitted``,
 ``step``, ``export``, ``dump``, the two-phase ops ``prepare_group`` /
 ``commit_group`` / ``abort_group``, and management ops (``ping``,
-``snapshot``, ``shutdown``, fault-injection hooks for tests).
+``snapshot``, ``shutdown``, fault-injection hooks for tests).  Frames
+carry a ``mid`` (message id), so many requests can be in flight on the
+socket at once; :func:`async_worker_serve` runs the handlers one at a
+time on an event loop.
+
+**Group commit.**  A handler applies its unit at once but leaves the
+journal records (and the request id) pending; the server withholds the
+reply until one shared write -- :meth:`ShardWorker.flush`, one fsync --
+covers everything that went pending while the previous write was on
+disk.  Durability cost is amortized across every concurrently pending
+request instead of paid once per mutation.
 
 **Durability & recovery.**  With a spool directory configured, every
 committed (or tombstoned) unit is appended to ``journal.jsonl`` before
-the reply leaves the worker; the journal is never truncated.  Every
+its reply leaves the worker; the journal is never truncated.  Every
 ``snapshot_interval`` flushed records the worker checkpoints
 (:meth:`ShardWorker.checkpoint`): it appends a *delta* -- the records
 of the instances committed units touched since the last checkpoint --
@@ -19,9 +29,9 @@ atomically and empties the log.  A restarted worker rebuilds its state
 as *base + newer deltas + journal suffix replay* (:func:`apply_deltas`,
 :func:`restore_state`, :func:`replay_records`), the paper's "state is
 the life cycle so far" semantics put to work.  Mutating requests carry
-a request id; applied ids are spooled alongside the journal, so a
-request retried across a crash is detected and acknowledged instead of
-applied twice.
+a request id, written to the journal as a ``{"rid": ...}`` marker line
+after the records its unit earned, so a request retried across a crash
+is detected and acknowledged instead of applied twice.
 
 **Cross-shard units.**  Shard-local events (statically known never to
 call across the boundary) run the unmodified fast path.  Remote-capable
@@ -49,7 +59,6 @@ import gc
 import json
 import os
 import socket
-import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -73,8 +82,6 @@ from repro.distributed.wire import (
     async_recv_frame,
     bounded_span_batch,
     encode_frame,
-    recv_frame,
-    send_frame,
 )
 from repro.observability.distributed import SpanCollectorSink, TraceContext
 from repro.observability.hooks import Observability
@@ -218,7 +225,8 @@ def _read_lines(path: str) -> List[Dict[str, Any]]:
 
 
 class Spool:
-    """Crash-durable per-shard storage: journal, checkpoints, applied ids.
+    """Crash-durable per-shard storage: the journal (with the applied
+    request ids as marker lines) and the checkpoints.
 
     Checkpoints come in two shapes: ``snapshot.json``, the *base*, a
     full dump replaced atomically, and ``checkpoints.jsonl``, the
@@ -226,9 +234,8 @@ class Spool:
     ``base_bytes`` and ``log_bytes`` are their sizes, from which the
     worker decides when to compact.
 
-    Append handles stay open across appends (the group-commit flusher
-    fsyncs the same file hundreds of times a second) and a lock
-    serializes file access."""
+    Append handles stay open across appends: the group-commit flusher
+    fsyncs the same file hundreds of times a second."""
 
     def __init__(self, directory: str, shard_index: int):
         self.directory = os.path.join(directory, f"shard-{shard_index}")
@@ -236,10 +243,7 @@ class Spool:
         self.journal_path = os.path.join(self.directory, "journal.jsonl")
         self.snapshot_path = os.path.join(self.directory, "snapshot.json")
         self.checkpoint_path = os.path.join(self.directory, "checkpoints.jsonl")
-        self.applied_path = os.path.join(self.directory, "applied.jsonl")
-        self.lock = threading.Lock()
         self._journal_file = None
-        self._applied_file = None
         self._checkpoint_file = None
         self.base_bytes = _file_size(self.snapshot_path)
         self.log_bytes = _file_size(self.checkpoint_path)
@@ -249,85 +253,44 @@ class Spool:
             self._journal_file = open(self.journal_path, "a", encoding="utf-8")
         return self._journal_file
 
-    def _applied_handle(self):
-        if self._applied_file is None:
-            self._applied_file = open(self.applied_path, "a", encoding="utf-8")
-        return self._applied_file
-
     def close(self) -> None:
-        with self.lock:
-            for handle in (
-                self._journal_file, self._applied_file, self._checkpoint_file
-            ):
-                if handle is not None:
-                    try:
-                        handle.close()
-                    except OSError:  # pragma: no cover - defensive
-                        pass
-            self._journal_file = None
-            self._applied_file = None
-            self._checkpoint_file = None
-
-    def append_records(self, records) -> None:
-        self.append_batch(records, ())
-
-    def append_applied(self, rid: str) -> None:
-        self.append_batch((), (rid,))
-
-    def append_batch(self, records, rids) -> None:
-        """The synchronous per-request write: the journal suffix and the
-        applied rid land in their own files, one fsync each -- the
-        seed durability layout the group-commit path amortizes away."""
-        with self.lock:
-            if records:
-                handle = self._journal_handle()
-                handle.write(
-                    "".join(
-                        json.dumps(record_to_json(record)) + "\n"
-                        for record in records
-                    )
-                )
-                handle.flush()
-                os.fsync(handle.fileno())
-            if rids:
-                handle = self._applied_handle()
-                handle.write("".join(rid + "\n" for rid in rids))
-                handle.flush()
-                os.fsync(handle.fileno())
+        for handle in (self._journal_file, self._checkpoint_file):
+            if handle is not None:
+                try:
+                    handle.close()
+                except OSError:  # pragma: no cover - defensive
+                    pass
+        self._journal_file = None
+        self._checkpoint_file = None
 
     def append_group(self, records, rids) -> None:
         """One group-commit write: the whole journal suffix and every
-        applied rid land in the *journal* file (rids as ``{"rid": ...}``
-        marker lines after the records that earned them) with a single
-        fsync, however many requests the batch covers.  Record lines
-        precede marker lines, so a torn tail can only lose rids whose
-        replies were still withheld -- the same records-before-rid
-        ordering the synchronous path has always had."""
+        applied rid land in the journal (rids as ``{"rid": ...}`` marker
+        lines after the records that earned them) with a single fsync,
+        however many requests the batch covers."""
         if not records and not rids:
             return
         lines = [
             json.dumps(record_to_json(record)) + "\n" for record in records
         ]
         lines.extend(json.dumps({"rid": rid}) + "\n" for rid in rids)
-        with self.lock:
-            handle = self._journal_handle()
-            handle.write("".join(lines))
-            handle.flush()
-            os.fsync(handle.fileno())
+        handle = self._journal_handle()
+        handle.write("".join(lines))
+        handle.flush()
+        os.fsync(handle.fileno())
 
     def read_journal(self) -> Optional[Journal]:
+        """The spooled journal, or None before the first write.  The one
+        writer appends in sequence order, so file order is seq order."""
         if not os.path.exists(self.journal_path):
             return None
         journal = Journal()
         for data in _read_lines(self.journal_path):
             if "seq" not in data:
-                continue  # group-commit rid marker
+                continue  # rid marker
             record = record_from_json(data)
             journal.records.append(record)
             journal._seq = max(journal._seq, record.seq)
-        # A concurrent force-flush racing an in-flight group write can
-        # land batches out of file order; sequence numbers are authoritative.
-        journal.records.sort(key=lambda record: record.seq)
         return journal
 
     def write_snapshot(self, data: Dict[str, Any]) -> None:
@@ -342,27 +305,26 @@ class Spool:
         crash between the two leaves deltas no newer than the base,
         which recovery skips; losing the log, or any suffix of it, only
         lengthens the journal replay, so it needs no directory fsync."""
-        with self.lock:
-            if delta:
-                if self._checkpoint_file is None:
-                    self._checkpoint_file = open(
-                        self.checkpoint_path, "a", encoding="utf-8"
-                    )
-                handle = self._checkpoint_file
-                handle.write(text + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-                self.log_bytes += len(text) + 1
-                return
-            tmp = self.snapshot_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.snapshot_path)
-            fsync_directory(self.directory)
-            self.base_bytes = len(text)
-            self._remove_checkpoint_log()
+        if delta:
+            if self._checkpoint_file is None:
+                self._checkpoint_file = open(
+                    self.checkpoint_path, "a", encoding="utf-8"
+                )
+            handle = self._checkpoint_file
+            handle.write(text + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+            self.log_bytes += len(text) + 1
+            return
+        tmp = self.snapshot_path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, self.snapshot_path)
+        fsync_directory(self.directory)
+        self.base_bytes = len(text)
+        self._remove_checkpoint_log()
 
     def _remove_checkpoint_log(self) -> None:
         if self._checkpoint_file is not None:
@@ -385,16 +347,12 @@ class Spool:
         return deltas
 
     def read_applied(self) -> set:
-        """The applied-request set: the per-request ledger plus every
-        rid marker a group commit embedded in the journal."""
-        applied = set()
-        if os.path.exists(self.applied_path):
-            with open(self.applied_path, "r", encoding="utf-8") as handle:
-                applied = {line.strip() for line in handle if line.strip()}
-        for data in _read_lines(self.journal_path):
-            if "seq" not in data and "rid" in data:
-                applied.add(data["rid"])
-        return applied
+        """The applied-request set: every rid marker in the journal."""
+        return {
+            data["rid"]
+            for data in _read_lines(self.journal_path)
+            if "seq" not in data and "rid" in data
+        }
 
 
 class ShardWorker:
@@ -468,14 +426,10 @@ class ShardWorker:
         self.applied: set = set()
         self.requests = 0
         self.recovered = False
-        #: group commit (async server only): ``_flush`` defers the spool
-        #: write to the event loop's flusher, which amortizes one fsync
-        #: across every request that went pending while the previous
-        #: fsync was on disk
-        self.defer_spool = False
+        #: whether the request just handled left records or a rid for
+        #: the next :meth:`flush` (its reply waits for that fsync)
         self._durability_pending = False
         self._pending_rids: List[str] = []
-        self._taken_seq = 0
         self.group_commits = 0
         self.group_records = 0
         self._recover()
@@ -538,76 +492,54 @@ class ShardWorker:
         if disk is not None:
             self.recorder._seq = disk.last_seq
             self.flushed_seq = disk.last_seq
-        self._taken_seq = self.flushed_seq
         self.applied = self.spool.read_applied()
         self.recovered = True
 
-    def _flush(self, rid: Optional[str] = None) -> None:
-        """Spool the journal suffix (and the applied request id) before
-        the reply leaves the worker.
-
-        In group-commit mode (``defer_spool``) nothing is written here:
-        the unit is left pending for the event loop's flusher and the
-        server withholds the reply until the shared fsync covers it.
-        The in-memory applied set is still updated immediately -- a
-        retried rid can only reach a *live* worker after a teardown, and
-        after a crash the recovered set comes from disk."""
-        if self.spool is not None and self.defer_spool:
-            if rid:
-                self._pending_rids.append(rid)
-                self.applied.add(rid)
-            if rid or self.recorder.last_seq > self._taken_seq:
-                self._durability_pending = True
-            return
-        if self.spool is not None:
-            records = self.recorder.records_since(self.flushed_seq)
-            if records or rid:
-                if self.obs is not None:
-                    with self.obs.phase("fsync", records=len(records)):
-                        self._spool_suffix(records, rid)
-                else:
-                    self._spool_suffix(records, rid)
-            if self.checkpoint_due:
-                self.checkpoint()
+    def _defer(self, rid: Optional[str] = None) -> None:
+        """Leave the unit just handled -- its journal records and its
+        request id -- for the next :meth:`flush`; the server withholds
+        the reply until that fsync covers it.  The in-memory applied set
+        is updated at once: a retried rid can only reach a *live* worker
+        after a teardown, and after a crash the recovered set comes from
+        disk."""
         if rid:
             self.applied.add(rid)
-
-    def _spool_suffix(self, records, rid: Optional[str]) -> None:
-        if records:
-            self.spool.append_records(records)
-        self.flushed_seq = self.recorder.last_seq
-        self._taken_seq = self.flushed_seq
+        if self.spool is None:
+            return
         if rid:
-            self.spool.append_applied(rid)
+            self._pending_rids.append(rid)
+        if rid or self.recorder.last_seq > self.flushed_seq:
+            self._durability_pending = True
 
     def take_durability(self) -> bool:
-        """Whether the request just handled deferred a spool write (the
-        async server withholds its reply until the group fsync lands)."""
+        """Whether the request just handled left work for the next
+        flush (the server withholds its reply until that fsync lands)."""
         pending = self._durability_pending
         self._durability_pending = False
         return pending
 
-    def take_group_batch(self):
-        """Claim the unflushed journal suffix + pending rids exactly
-        once, so the flusher and a concurrent synchronous drain can
-        never double-write a record.  Returns ``(records, rids, top)``
-        where ``top`` is the highest claimed sequence number."""
-        records = self.recorder.records_since(self._taken_seq)
-        top = self.recorder.last_seq
-        self._taken_seq = max(self._taken_seq, top)
-        rids, self._pending_rids = self._pending_rids, []
-        return records, rids, top
-
-    def force_flush(self) -> None:
-        """Synchronously drain the group-commit buffer -- the crash
-        hooks and the snapshot barrier cannot wait for the flusher.  A
-        no-op when nothing is deferred (the synchronous server)."""
+    def flush(self) -> bool:
+        """Write everything that went pending since the last flush --
+        the journal suffix and the rids its units earned -- with one
+        fsync; returns whether there was anything to write.  The
+        group-commit flusher calls it once per cycle; the snapshot,
+        shutdown and crash hooks call it directly."""
         if self.spool is None:
-            return
-        records, rids, top = self.take_group_batch()
-        if records or rids:
-            self.spool.append_group(records, rids)
-        self.flushed_seq = max(self.flushed_seq, top)
+            return False
+        records = self.recorder.records_since(self.flushed_seq)
+        if not records and not self._pending_rids:
+            return False
+        rids, self._pending_rids = self._pending_rids, []
+        start = time.perf_counter()
+        self.spool.append_group(records, rids)
+        self.flushed_seq = self.recorder.last_seq
+        self.group_commits += 1
+        self.group_records += len(records)
+        if self.obs is not None:
+            self.obs.metrics.histogram("phase.fsync").observe(
+                time.perf_counter() - start
+            )
+        return True
 
     @property
     def checkpoint_due(self) -> bool:
@@ -851,7 +783,7 @@ class ShardWorker:
         try:
             return handler(request)
         except TrollError as exc:
-            self._flush()  # a denied unit may have journaled a tombstone
+            self._defer()  # a denied unit may have journaled a tombstone
             failed = getattr(exc, "occurrence", None)
             response = {
                 "ok": False,
@@ -932,7 +864,7 @@ class ShardWorker:
                 # single-process engine, then report it.
                 triggers = self._triggers_for([item])
                 self.recorder.record_rollback(triggers, error)
-                self._flush()
+                self._defer()
                 raise error
             if remote:
                 return {
@@ -941,7 +873,7 @@ class ShardWorker:
                     "remote": calls_to_wire(remote),
                 }
         self._apply_items([item])
-        self._flush(request.get("rid"))
+        self._defer(request.get("rid"))
         return {"ok": True, "status": "done"}
 
     def _op_create(self, request):
@@ -960,7 +892,7 @@ class ShardWorker:
             if not ok:
                 triggers = self._triggers_for([item])
                 self.recorder.record_rollback(triggers, error)
-                self._flush()
+                self._defer()
                 raise error
             if remote:
                 return {
@@ -969,7 +901,7 @@ class ShardWorker:
                     "remote": calls_to_wire(remote),
                 }
         self._apply_items([item])
-        self._flush(request.get("rid"))
+        self._defer(request.get("rid"))
         identification = {
             name: value_from_json(v)
             for name, v in (request.get("identification") or {}).items()
@@ -1003,7 +935,7 @@ class ShardWorker:
                         "event": event,
                     }
                 self._apply_items([item])
-                self._flush(request.get("rid"))
+                self._defer(request.get("rid"))
                 return {
                     "ok": True,
                     "status": "fired",
@@ -1013,7 +945,7 @@ class ShardWorker:
                 }
             if system.is_permitted(instance, event):
                 system._occur_root(instance, event, ())
-                self._flush(request.get("rid"))
+                self._defer(request.get("rid"))
                 return {
                     "ok": True,
                     "status": "fired",
@@ -1044,7 +976,7 @@ class ShardWorker:
 
     def _op_commit_group(self, request):
         applied = self._apply_items(request["items"])
-        self._flush(request.get("rid"))
+        self._defer(request.get("rid"))
         return {"ok": True, "status": "done", "occurrences": applied}
 
     def _op_abort_group(self, request):
@@ -1053,7 +985,7 @@ class ShardWorker:
             request.get("message", "distributed unit aborted")
         )
         self.recorder.record_rollback(triggers, error)
-        self._flush()
+        self._defer()
         return {"ok": True, "status": "aborted"}
 
     # -- state / telemetry ---------------------------------------------
@@ -1102,11 +1034,9 @@ class ShardWorker:
 
     def _op_snapshot(self, request):
         if self.spool is not None:
-            self._flush()
-            # In group-commit mode the flush above only marked the
-            # suffix pending; drain it now so the base's journal_seq
-            # never lags records already in the state it holds.
-            self.force_flush()
+            # the base's journal_seq must not lag records already in
+            # the state it holds
+            self.flush()
             self.checkpoint(full=True)
         return {"ok": True, "journal_seq": self.checkpoint_seq}
 
@@ -1116,7 +1046,7 @@ class ShardWorker:
         if self.spool is not None:
             # a clean stop leaves the journal and one full base: no
             # deltas for the next start to lay over it
-            self.force_flush()
+            self.flush()
             if self.flushed_seq > self.checkpoint_seq or self.spool.log_bytes:
                 self.checkpoint(full=True)
         return {"ok": True, "status": "bye"}
@@ -1131,9 +1061,9 @@ class ShardWorker:
         inner = request["inner"]
         inner.setdefault("rid", request.get("rid"))
         self._handle_core(inner)
-        # Group-commit mode deferred the spool write; the whole point of
-        # this hook is "durable, then dead", so drain synchronously.
-        self.force_flush()
+        # the point of this hook is "durable, then dead": no waiting for
+        # the flusher
+        self.flush()
         os._exit(2)
 
     def _op_hang(self, request):
@@ -1141,44 +1071,18 @@ class ShardWorker:
         return {"ok": True, "status": "awake"}
 
 
-def serve(worker: ShardWorker, sock: socket.socket) -> None:
-    """The worker's request loop: one frame in, one frame out."""
-    while True:
-        try:
-            request = recv_frame(sock)
-        except (WireClosed, WireError, OSError):
-            break
-        response = None
-        try:
-            response = worker.handle(request)
-        except SystemExit:
-            raise
-        except Exception as exc:  # pragma: no cover - defensive
-            response = {
-                "ok": False,
-                "error": "InternalError",
-                "message": f"{type(exc).__name__}: {exc}",
-            }
-        try:
-            send_frame(sock, response)
-        except OSError:
-            break
-        if request.get("op") == "shutdown":
-            break
-
-
 class _GroupCommitServer:
-    """The async worker loop: many request frames in flight on one
-    socket (multiplexed by ``mid``), handlers running to completion on
-    the event loop, and mutating replies withheld until a shared group
+    """The worker loop: many request frames in flight on one socket
+    (multiplexed by ``mid``), handlers running to completion on the
+    event loop, and mutating replies withheld until a shared group
     fsync covers them.
 
-    The flusher coroutine claims everything that went pending while the
-    previous fsync was on disk and writes it as one batch, then takes
-    the checkpoint when one is due, before the batch's replies leave.
-    The writes block only this worker process; the coordinator and the
-    sibling shards run under its fsync.  ``fsync.batch`` records how
-    many replies each fsync amortized."""
+    The flusher coroutine writes everything that went pending while the
+    previous fsync was on disk as one batch (:meth:`ShardWorker.flush`),
+    then takes the checkpoint when one is due, before the batch's
+    replies leave.  The writes block only this worker process; the
+    coordinator and the sibling shards run under its fsync.
+    ``fsync.batch`` records how many replies each fsync amortized."""
 
     #: ops that must observe a fully drained spool before they run: the
     #: snapshot's journal_seq must not lag the snapshotted state, and
@@ -1237,7 +1141,7 @@ class _GroupCommitServer:
             if mid is not None:
                 response["mid"] = mid
             frame = encode_frame(response)
-            if self.worker.take_durability() and self._flusher_task is not None:
+            if self.worker.take_durability():
                 self._pending.append(frame)
                 self._flush_event.set()
             else:
@@ -1254,16 +1158,15 @@ class _GroupCommitServer:
         return bool(
             self._pending
             or worker._pending_rids
-            or worker.recorder.last_seq > worker._taken_seq
+            or worker.recorder.last_seq > worker.flushed_seq
         )
 
     async def _barrier(self) -> None:
-        """Wait until every deferred record and rid is on disk,
-        including a batch an executor thread is writing right now."""
+        """Wait until the flusher has written every deferred record and
+        rid and sent the replies they held back."""
         if self._flusher_task is None:
             return
-        worker = self.worker
-        while self._work_left() or worker.flushed_seq < worker._taken_seq:
+        while self._work_left():
             self._flush_event.set()
             waiter = asyncio.get_running_loop().create_future()
             self._cycle_waiters.append(waiter)
@@ -1271,7 +1174,6 @@ class _GroupCommitServer:
 
     async def _flusher(self) -> None:
         worker = self.worker
-        spool = worker.spool
         obs = worker.obs
         while True:
             if self._closing and not self._work_left():
@@ -1295,26 +1197,16 @@ class _GroupCommitServer:
                     quiet = 0
                 else:
                     quiet += 1
-            # Claim the batch before the journal suffix so every claimed
-            # reply's records are inside the claimed suffix (no awaits
-            # between the two takes: they are atomic on the event loop).
+            # Claim the held replies and write the records they wait for
+            # with no await in between: every claimed reply's records
+            # are in this write.  Synchronous on purpose: the fsync
+            # blocks only THIS worker process, and the OS runs the
+            # coordinator and the sibling shards under it -- that
+            # cross-process overlap is free, while an executor hop costs
+            # two thread wakeups per cycle on a single-core host.
             pending, self._pending = self._pending, []
-            records, rids, top = worker.take_group_batch()
-            if records or rids:
-                start = time.perf_counter()
-                # Synchronous on purpose: the fsync blocks only THIS
-                # worker process, and the OS runs the coordinator and
-                # the sibling shards under it -- that cross-process
-                # overlap is free, while an executor hop costs two
-                # thread wakeups per cycle on a single-core host.
-                spool.append_group(records, rids)
-                worker.flushed_seq = max(worker.flushed_seq, top)
-                worker.group_commits += 1
-                worker.group_records += len(records)
+            if worker.flush():
                 if obs is not None:
-                    obs.metrics.histogram("phase.fsync").observe(
-                        time.perf_counter() - start
-                    )
                     obs.metrics.histogram("fsync.batch", unit="count").observe(
                         len(pending)
                     )
@@ -1338,8 +1230,7 @@ class _GroupCommitServer:
 
 
 async def async_worker_serve(worker: ShardWorker, sock: socket.socket) -> None:
-    """The asyncio entry point of a group-commit worker."""
-    worker.defer_spool = worker.spool is not None
+    """The asyncio entry point of a shard worker."""
     reader, writer = await asyncio.open_connection(sock=sock)
     await _GroupCommitServer(worker, reader, writer).run()
 
@@ -1356,10 +1247,7 @@ def worker_main(sock: socket.socket, config: Dict[str, Any]) -> None:
     gc.collect()
     gc.freeze()
     try:
-        if config.get("async_server"):
-            asyncio.run(async_worker_serve(worker, sock))
-        else:
-            serve(worker, sock)
+        asyncio.run(async_worker_serve(worker, sock))
     finally:
         try:
             sock.close()

@@ -175,13 +175,19 @@ class _Transaction:
         self.call_stack: List[int] = []
 
     def touch(self, instance: Instance) -> None:
-        if id(instance) not in self.snapshots:
-            self.snapshots[id(instance)] = (instance, instance.full_snapshot())
+        """Snapshot an instance the unit may change, with its base
+        aspects: a role's attribute writes land on the aspect that
+        stores them (``Instance.set_attribute``), so a rollback must
+        restore the base chain as well."""
+        snapshots = self.snapshots
+        while instance is not None and id(instance) not in snapshots:
+            snapshots[id(instance)] = (instance, instance.full_snapshot())
             store = self.system.store
             if not store.direct:
                 # every touched instance must be hot at commit so the
                 # paging store writes the mutation back on eviction
                 store.readmit(instance)
+            instance = instance.base
 
     def touched_instances(self) -> List[Instance]:
         return [inst for inst, _ in self.snapshots.values()]

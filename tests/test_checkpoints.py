@@ -6,9 +6,9 @@ recovery"):
 * crash points injected deterministically from the test side -- a delta
   written but not yet fsynced (kept, lost or torn), a new base renamed
   before the checkpoint log was removed, a torn journal tail -- each on
-  memory, paged and sqlite storage and on both flush paths, recovered to
-  the single-process oracle's replay of exactly the acknowledged
-  requests;
+  memory, paged and sqlite storage and with one or three requests per
+  group write, recovered to the single-process oracle's replay of
+  exactly the acknowledged requests;
 * byte-identity: for every example script and storage backend, a worker
   that checkpoints as deltas, crashes between units and recovers dumps
   byte-identically to a worker that never crashed;
@@ -22,6 +22,8 @@ recovery"):
 Workers run in-process; a "crash" abandons one with its files as they
 are -- nothing written back, nothing flushed -- and a new worker over
 the same spool and storage recovers, as a respawned process would.
+Handling a request only leaves its records pending, as in a served
+worker; :func:`settle` then runs the group-commit flusher's cycle.
 """
 
 import contextlib
@@ -90,13 +92,12 @@ def abandon(worker):
     worker.system.store.backend.close()
 
 
-def settle(worker, group):
-    """End one request: on the group-commit path, the flusher's cycle
-    (drain, then checkpoint when due)."""
-    if group:
-        worker.force_flush()
-        if worker.checkpoint_due:
-            worker.checkpoint()
+def settle(worker):
+    """End one request with the group-commit flusher's cycle: write what
+    went pending, then checkpoint when one is due."""
+    worker.flush()
+    if worker.checkpoint_due:
+        worker.checkpoint()
 
 
 # ----------------------------------------------------------------------
@@ -179,8 +180,9 @@ class CrashPoint:
         #: "delta": the checkpoint log's fsync; "journal": the journal's
         #: fsync; "base": after a base's rename, before the log's removal
         self.target = target
-        #: of the bytes the dying write added: "all", "none", or "half"
-        #: of its first line (a torn line)
+        #: of the bytes the dying write added: "all", "none", "half" of
+        #: its first line (a torn line), or "marker": every line but
+        #: half of the last (a group write ends with its rid markers)
         self.leave = leave
 
     def __repr__(self):
@@ -193,6 +195,15 @@ CRASH_POINTS = [
     CrashPoint("delta-torn", 30, "delta", "half"),
     CrashPoint("base-renamed-log-kept", 20, "base", "all"),
     CrashPoint("journal-torn", 40, "journal", "half"),
+    pytest.param(
+        CrashPoint("records-kept-marker-torn", 40, "journal", "marker"),
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="a group write puts a unit's request id on a marker line "
+            "after its record: a tail torn between the two replays the "
+            "unit but forgets the id, so the retry applies it again",
+        ),
+    ),
 ]
 
 
@@ -236,24 +247,36 @@ def tear(path, before, leave):
         handle.seek(before)
         added = handle.read()
     first_line = added.find(b"\n") + 1 or len(added)
-    keep = {"all": len(added), "none": 0, "half": first_line // 2}[leave]
+    last_line = len(added) - (added.rfind(b"\n", 0, len(added) - 1) + 1)
+    keep = {
+        "all": len(added),
+        "none": 0,
+        "half": first_line // 2,
+        "marker": len(added) - last_line + last_line // 2,
+    }[leave]
     os.truncate(path, before + keep)
 
 
-@pytest.mark.parametrize("group", [False, True], ids=["sync", "group"])
+@pytest.mark.parametrize("per_write", [1, 3], ids=["sync", "group"])
 @pytest.mark.parametrize("storage", BACKENDS)
 @pytest.mark.parametrize("point", CRASH_POINTS, ids=repr)
 def test_crash_point_recovers_acknowledged_requests(
-    point, storage, group, tmp_path, monkeypatch
+    point, storage, per_write, tmp_path, monkeypatch
 ):
+    """``per_write`` requests share each group write: one (``sync``, a
+    lone client's cadence -- every reply waits for its own fsync) or
+    three (``group``, the replies of concurrent clients held back for
+    one fsync).  A crash loses the replies of the whole group."""
     requests = library_requests()
     config = worker_config(LENDING_LIBRARY_SPEC, tmp_path, storage)
     worker = ShardWorker(config)
-    worker.defer_spool = group
     acked = []
+    #: (request id, request) handled but not yet covered by a write
+    unanswered = []
     fired = []
     for index, request in enumerate(requests):
         armed = index >= point.arm_after and not fired
+        unanswered.append((f"r{index}", request))
         try:
             with (
                 crash_at(point, worker, monkeypatch, fired)
@@ -261,7 +284,10 @@ def test_crash_point_recovers_acknowledged_requests(
                 else contextlib.nullcontext()
             ):
                 worker.handle(wire(request, f"r{index}"))
-                settle(worker, group)
+                if len(unanswered) == per_write or index == len(requests) - 1:
+                    settle(worker)
+                    acked.extend(request for _rid, request in unanswered)
+                    unanswered = []
         except Crash:
             abandon(worker)
             path, before = fired[0]
@@ -270,19 +296,21 @@ def test_crash_point_recovers_acknowledged_requests(
             else:
                 tear(path, before, point.leave)
             worker = ShardWorker(config)
-            worker.defer_spool = group
             assert worker.recovered
-            # exactly the acknowledged requests, plus the one in flight
-            # if (and only if) its request id reached the disk
-            applied = f"r{index}" in worker.applied
+            # exactly the acknowledged requests, plus those in flight
+            # whose request ids reached the disk
+            applied = {rid for rid, _request in unanswered if rid in worker.applied}
             assert dump_json(worker.system) == oracle_state(
-                LENDING_LIBRARY_SPEC, acked + ([request] if applied else [])
+                LENDING_LIBRARY_SPEC,
+                acked + [request for rid, request in unanswered if rid in applied],
             )
-            # the client retries the request it got no answer to
-            reply = worker.handle(wire(request, f"r{index}"))
-            settle(worker, group)
-            assert (reply.get("status") == "replayed") == applied
-        acked.append(request)
+            # the clients retry the requests they got no answer to
+            for rid, request in unanswered:
+                reply = worker.handle(wire(request, rid))
+                assert (reply.get("status") == "replayed") == (rid in applied)
+            settle(worker)
+            acked.extend(request for _rid, request in unanswered)
+            unanswered = []
     assert fired, f"{point} never fired"
     assert dump_json(worker.system) == oracle_state(LENDING_LIBRARY_SPEC, acked)
     # and it survives one more restart from whatever the crash left
@@ -362,6 +390,7 @@ def test_recovered_worker_dumps_like_one_that_never_crashed(
         for count, request in enumerate(units, 1):
             for worker in (steady, crashing):
                 reply = worker.handle(dict(request))
+                settle(worker)
                 assert reply["ok"], reply
             if count % every == 0:
                 abandon(crashing)
@@ -384,11 +413,13 @@ def _counter_worker(tmp_path, counters=16):
     for key in range(counters):
         worker.handle({"op": "create", "class": "COUNTER",
                        "identification": {"IdNo": value_to_json(from_python(key))}})
+        settle(worker)
     return worker
 
 
 def _bump(worker, key):
     reply = worker.handle({"op": "occur", "class": "COUNTER", "key": key, "event": "bump"})
+    settle(worker)
     assert reply["ok"], reply
 
 
@@ -436,6 +467,7 @@ def test_deltas_no_newer_than_the_base_are_skipped(tmp_path, monkeypatch):
 
     def send(request):
         worker.handle(wire(request, f"r{len(acked)}"))
+        settle(worker)
         acked.append(request)
 
     while len(_checkpoint_lines(worker.spool)) != 1:
@@ -501,11 +533,13 @@ def test_births_and_deaths_reach_the_delta(tmp_path):
     requests = library_requests()[:12]
     for index, request in enumerate(requests):
         worker.handle(wire(request, f"r{index}"))
+        settle(worker)
     worker.handle({"op": "snapshot"})
     births = [("create", "MEMBER", {"MName": f"n{i}"}, "join", []) for i in range(3)]
     death = ("occur", "BOOK", "b1", "discard", [])
     for index, request in enumerate(births + [death]):
         worker.handle(wire(request, f"x{index}"))
+        settle(worker)
     (delta,) = _checkpoint_lines(worker.spool)
     members = delta["delta"]["class_objects"]
     assert [m["key"] for m, present in members["MEMBER"]] == ["n0", "n1", "n2"]
@@ -651,6 +685,7 @@ def test_export_counts_run_on_past_the_trimmed_journal(tmp_path):
     for key in range(7):
         _bump(worker, key)
     denied = worker.handle({"op": "occur", "class": "COUNTER", "key": 99, "event": "bump"})
+    settle(worker)
     assert not denied["ok"]
     export = worker.handle({"op": "export"})
     assert len(worker.recorder.records) < 17
@@ -665,8 +700,11 @@ def test_export_on_a_paged_shard_faults_nothing_in(storage, tmp_path):
         worker = ShardWorker(worker_config(LENDING_LIBRARY_SPEC, tmp_path, backend, name=backend))
         for i in range(24):
             worker.handle(wire(("create", "MEMBER", {"MName": f"m{i}"}, "join", []), None))
+            settle(worker)
             worker.handle(wire(("create", "BOOK", {"Isbn": f"b{i}"}, "acquire", ["t"]), None))
+            settle(worker)
         worker.handle(wire(("occur", "BOOK", "b3", "discard", []), None))
+        settle(worker)
         worker.handle({"op": "snapshot"})  # the journal holds no instance now
         # unpin what the occurrence log holds, so evicted instances go
         worker.system.journal.clear()

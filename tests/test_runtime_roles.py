@@ -5,7 +5,9 @@ import pytest
 
 from repro.datatypes.values import money
 from repro.diagnostics import ConstraintViolation, LifecycleError, PermissionDenied
+from repro.library.specs import CAR_SPEC, PERSON_MANAGER_SPEC
 from repro.runtime import ObjectBase
+from repro.runtime.persistence import dump_json
 from tests.conftest import D1960, D1991
 
 
@@ -99,6 +101,26 @@ class TestRoleConstraints:
         system, sales, alice, bob, manager = promoted
         system.occur(manager, "ChangeSalary", [9999.0])
         assert system.get(alice, "Salary") == money(9999.0)
+
+    @pytest.mark.parametrize("txn_compile", [True, False], ids=["fused", "generic"])
+    def test_rolled_back_role_event_restores_the_base(self, txn_compile):
+        """MANAGER.get_car writes Salary, which PERSON stores; the
+        violation must roll PERSON back, not only the role."""
+        spec = CAR_SPEC + PERSON_MANAGER_SPEC.replace(
+            "      get_car(C) OfficialCar = C;\n",
+            "      get_car(C) OfficialCar = C;\n      get_car(C) Salary = 100;\n",
+        )
+        system = ObjectBase(spec, txn_compile=txn_compile)
+        car = system.create("CAR", {"Registration": "c1"}, "register", ["golf"])
+        person = system.create(
+            "PERSON", {"Name": "ann", "BirthDate": D1960}, "hire_into", ["R", 6000]
+        )
+        system.occur(person, "become_manager")
+        before = dump_json(system)
+        with pytest.raises(ConstraintViolation):
+            system.occur(("MANAGER", person.key), "get_car", [car.identity])
+        assert system.get(person, "Salary") == money(6000)
+        assert dump_json(system) == before
 
 
 class TestPhaseLifecycle:
