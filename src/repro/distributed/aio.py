@@ -9,7 +9,8 @@ identity hash (or placement pin), and exposes the society interface of
 a single object base: ``create`` / ``occur`` / ``get`` / ``is_permitted``
 / ``step`` / ``run_active`` plus merged state and telemetry.  The
 blocking :class:`~repro.distributed.coordinator.ShardedCommunity` is a
-facade that runs this class on a private event loop.
+facade that runs this class on a private event loop, over blocking
+connections to the workers.
 
 Every frame carries a ``mid`` (message id), so N client coroutines can
 have N requests in flight on one socket per shard; a demultiplexer task
@@ -244,7 +245,11 @@ class _ConnectionLost(Exception):
 
 class _AsyncHandle:
     """One shard connection: process, streams, in-flight futures, and
-    the outbox of frames coalescing into the next write."""
+    the outbox of frames coalescing into the next write.  A *blocking*
+    connection (the facade's, see :mod:`repro.distributed.coordinator`)
+    instead sends a request and reads its reply in ``exchange``."""
+
+    blocking = False
 
     __slots__ = (
         "index",
@@ -529,10 +534,16 @@ class AsyncShardedCommunity:
         )
         process.start()
         child_sock.close()
-        reader, writer = await asyncio.open_connection(sock=parent_sock)
+        handle = await self._connect(index, process, parent_sock)
+        self._handles[index] = handle
+        return handle
+
+    async def _connect(self, index: int, process, sock) -> _AsyncHandle:
+        """Wrap a fresh worker's socket in streams and start the task
+        that routes its replies."""
+        reader, writer = await asyncio.open_connection(sock=sock)
         handle = _AsyncHandle(index, process, reader, writer)
         handle.demux = asyncio.ensure_future(self._demux(handle))
-        self._handles[index] = handle
         return handle
 
     async def _demux(self, handle: _AsyncHandle) -> None:
@@ -720,17 +731,21 @@ class AsyncShardedCommunity:
                 # the retry path, which lands here.
                 handle = await self._respawn(index, span)
             mid = next(self._mids)
-            loop = asyncio.get_running_loop()
-            future = loop.create_future()
-            handle.futures[mid] = future
-            # The watchdog sweep enforces the deadline: a shared
-            # periodic scan instead of two timer-heap operations per
-            # request (timeouts here are coarse failure detectors with
-            # retries stacked on top, not precision timers).
-            handle.deadlines[mid] = loop.time() + timeout
             try:
-                self._enqueue(handle, encode_frame(dict(message, mid=mid)))
-                response = await future
+                if handle.blocking:
+                    response = handle.exchange(message, timeout)
+                else:
+                    loop = asyncio.get_running_loop()
+                    future = loop.create_future()
+                    handle.futures[mid] = future
+                    # The watchdog sweep enforces the deadline: a shared
+                    # periodic scan instead of two timer-heap operations
+                    # per request (timeouts here are coarse failure
+                    # detectors with retries stacked on top, not
+                    # precision timers).
+                    handle.deadlines[mid] = loop.time() + timeout
+                    self._enqueue(handle, encode_frame(dict(message, mid=mid)))
+                    response = await future
                 # Profile batches ride every response frame of a
                 # profiled worker (traced or not); absorb them here so
                 # no caller ever sees them.
@@ -748,10 +763,11 @@ class AsyncShardedCommunity:
                 if self.obs is not None:
                     kind = "timeout" if timed_out else "crash"
                     self.obs.metrics.counter("rpc.failures").inc(labels=(kind,))
-                if timed_out:
-                    # A hung worker, or a reply stuck mid-frame: the
-                    # stream cannot be trusted, so tear it down -- every
-                    # other in-flight request fails over to its retry.
+                if timed_out or handle.blocking:
+                    # A hung worker, a reply stuck mid-frame, or a failed
+                    # blocking exchange: the stream cannot be trusted, so
+                    # tear it down -- every other in-flight request fails
+                    # over to its retry.
                     self._teardown(handle, exc)
                     if handle.demux is not None:
                         handle.demux.cancel()
@@ -1365,7 +1381,9 @@ class AsyncShardedCommunity:
             if handle is None:
                 continue
             try:
-                if handle.alive:
+                if handle.alive and handle.blocking:
+                    handle.exchange({"op": "shutdown"}, 2.0)
+                elif handle.alive:
                     mid = next(self._mids)
                     future = loop.create_future()
                     handle.futures[mid] = future

@@ -402,25 +402,24 @@ class TestTwinRunDifferential:
 
 class TestFleetProfile:
     def _capture_frames(self, monkeypatch):
-        """Record every frame the coordinator encodes and decodes."""
-        import repro.distributed.aio as core
+        import repro.distributed.coordinator as coordinator_module
 
         sent, received = [], []
-        real_encode = core.encode_frame
-        real_recv = core.async_recv_frame
+        real_send = coordinator_module.send_frame
+        real_recv = coordinator_module.recv_frame
 
-        def recording_encode(message):
+        def recording_send(sock, message):
             sent.append(json.dumps(message, separators=(",", ":")))
-            return real_encode(message)
+            return real_send(sock, message)
 
-        async def recording_recv(reader, timeout=None):
-            response = await real_recv(reader, timeout)
+        def recording_recv(sock, timeout=None):
+            response = real_recv(sock, timeout)
             # snapshot before the coordinator pops telemetry fields
             received.append(dict(response))
             return response
 
-        monkeypatch.setattr(core, "encode_frame", recording_encode)
-        monkeypatch.setattr(core, "async_recv_frame", recording_recv)
+        monkeypatch.setattr(coordinator_module, "send_frame", recording_send)
+        monkeypatch.setattr(coordinator_module, "recv_frame", recording_recv)
         return sent, received
 
     def test_profiling_off_frames_are_byte_identical(self, monkeypatch):
