@@ -33,6 +33,7 @@ worker.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import socket
 from typing import Any, Dict
 
@@ -122,7 +123,7 @@ class ShardedCommunity:
         if core is None:
             raise AttributeError(name)
         member = getattr(core, name)
-        if not asyncio.iscoroutinefunction(member):
+        if not inspect.iscoroutinefunction(member):
             return member
 
         def call(*args: Any, **kwargs: Any):
