@@ -1,20 +1,23 @@
-"""Sharded-community throughput: 4 shard workers vs 1, same workload.
+"""Sharded-community throughput, and a bump whose cost does not grow
+with the population.
 
-``COUNTER.bump`` guards itself with a universally quantified permission
-over the whole class population, so each occurrence costs O(population)
-formula evaluations -- the workload is population-bound, not
-dispatch-bound.  Partitioning the counters over 4 shards divides the
-per-occurrence population by 4 on every shard, which is why the sharded
-server beats the 1-shard baseline even on a single-core host: the win
-is architectural (less work per occurrence), not parallelism.
+``COUNTER.bump`` guards itself with ``for all(C: COUNTER : C.Value >=
+0)``, a permission over the shard's whole population.  The object base
+keeps that formula's violator set up to date
+(:mod:`repro.runtime.verdicts`): a commit re-evaluates only the counters
+it touched, and a check reads the set.  A bump therefore costs the same
+on a shard of 120 counters as on one of 480.
 
-Both sides of the comparison run the full wire protocol (fork, frames,
-value coding), so the measured ratio isolates the effect of
-partitioning rather than charging IPC overhead to only one side.
+Both sides of every comparison run the full wire protocol (fork,
+frames, value coding), so the ratio isolates the population's effect.
 
-``test_sharding_speedup_guard`` is the CI regression guard: 4 shards
-must be at least 2x the 1-shard throughput, and the merged final state
-of every sharded run must be identical to the single-process oracle's.
+``test_population_independence_guard`` is the CI regression guard: on
+one shard, 480 bumps over 480 counters take at most 1.5x as long as
+480 bumps over 120 counters, and both merged final states equal the
+single-process oracle's.  When every check swept the population, the
+larger shard took 2.9-3.8x as long; with the maintained set it takes
+0.8-1.2x.  The 1-shard and 4-shard rows are report-only timings, each
+checked against the oracle.
 """
 
 import pytest
@@ -26,6 +29,9 @@ from repro.distributed.workload import (
     run_sharded,
 )
 
+#: the population of the guard's larger shard (4x DEFAULT_COUNTERS)
+LARGE_COUNTERS = 4 * DEFAULT_COUNTERS
+
 
 @pytest.fixture(scope="module")
 def oracle():
@@ -33,8 +39,7 @@ def oracle():
 
 
 def test_bench_single_shard_baseline(benchmark, oracle):
-    """The whole population behind one worker process: every bump pays
-    the full O(population) permission sweep."""
+    """The whole population behind one worker process."""
     results = []
     benchmark.pedantic(
         lambda: results.append(run_sharded(1, DEFAULT_COUNTERS, DEFAULT_OPS)),
@@ -45,8 +50,7 @@ def test_bench_single_shard_baseline(benchmark, oracle):
 
 
 def test_bench_four_shards(benchmark, oracle):
-    """The population split over 4 workers: a quarter of the permission
-    sweep per bump on the owning shard."""
+    """The population split over 4 workers."""
     results = []
     benchmark.pedantic(
         lambda: results.append(run_sharded(4, DEFAULT_COUNTERS, DEFAULT_OPS)),
@@ -56,29 +60,33 @@ def test_bench_four_shards(benchmark, oracle):
         assert result["state"] == oracle["state"]
 
 
-def test_sharding_speedup_guard(benchmark, oracle):
-    """Regression guard: >= 2x throughput at 4 shards vs 1 shard, with
-    the merged final state identical to the single-process oracle."""
-    baseline = run_sharded(1, DEFAULT_COUNTERS, DEFAULT_OPS)
-    assert baseline["state"] == oracle["state"]
-
-    sharded_seconds = []
+def test_population_independence_guard(benchmark, oracle):
+    """Regression guard: on one shard, bumps over 4x the counters take
+    at most 1.5x as long, with both merged states equal to the oracle's."""
+    states = {
+        DEFAULT_COUNTERS: oracle["state"],
+        LARGE_COUNTERS: run_oracle(LARGE_COUNTERS, DEFAULT_OPS)["state"],
+    }
+    seconds = {counters: [] for counters in states}
 
     def run():
-        result = run_sharded(4, DEFAULT_COUNTERS, DEFAULT_OPS)
-        assert result["state"] == oracle["state"], (
-            "sharded community diverged from the single-process oracle"
-        )
-        sharded_seconds.append(result["seconds"])
+        for counters, state in states.items():
+            result = run_sharded(1, counters, DEFAULT_OPS)
+            assert result["state"] == state, (
+                "sharded community diverged from the single-process oracle"
+            )
+            seconds[counters].append(result["seconds"])
 
-    benchmark.pedantic(run, rounds=3)
+    benchmark.pedantic(run, rounds=5)
 
-    best = min(sharded_seconds)
-    speedup = baseline["seconds"] / best
-    benchmark.extra_info["baseline_seconds"] = baseline["seconds"]
-    benchmark.extra_info["sharded_seconds"] = best
-    benchmark.extra_info["speedup"] = speedup
-    assert speedup >= 2.0, (
-        f"4 shards only {speedup:.2f}x the 1-shard throughput "
-        f"(target >= 2x): {baseline['seconds']:.3f}s vs {best:.3f}s"
+    small = min(seconds[DEFAULT_COUNTERS])
+    large = min(seconds[LARGE_COUNTERS])
+    ratio = large / small
+    benchmark.extra_info["small_seconds"] = small
+    benchmark.extra_info["large_seconds"] = large
+    benchmark.extra_info["ratio"] = ratio
+    assert ratio <= 1.5, (
+        f"{DEFAULT_OPS} bumps over {LARGE_COUNTERS} counters took "
+        f"{ratio:.2f}x as long as over {DEFAULT_COUNTERS} (target <= 1.5x): "
+        f"{large:.3f}s vs {small:.3f}s"
     )

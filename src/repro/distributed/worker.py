@@ -29,9 +29,10 @@ atomically and empties the log.  A restarted worker rebuilds its state
 as *base + newer deltas + journal suffix replay* (:func:`apply_deltas`,
 :func:`restore_state`, :func:`replay_records`), the paper's "state is
 the life cycle so far" semantics put to work.  Mutating requests carry
-a request id, written to the journal as a ``{"rid": ...}`` marker line
-after the records its unit earned, so a request retried across a crash
-is detected and acknowledged instead of applied twice.
+a request id, written into the journal on the last record line its unit
+earned (or, for a request that earned none, as a ``{"rid": ...}`` marker
+line), so a request retried across a crash is detected and acknowledged
+instead of applied twice.
 
 **Cross-shard units.**  Shard-local events (statically known never to
 call across the boundary) run the unmodified fast path.  Remote-capable
@@ -225,8 +226,8 @@ def _read_lines(path: str) -> List[Dict[str, Any]]:
 
 
 class Spool:
-    """Crash-durable per-shard storage: the journal (with the applied
-    request ids as marker lines) and the checkpoints.
+    """Crash-durable per-shard storage: the journal (carrying the
+    applied request ids) and the checkpoints.
 
     Checkpoints come in two shapes: ``snapshot.json``, the *base*, a
     full dump replaced atomically, and ``checkpoints.jsonl``, the
@@ -263,16 +264,24 @@ class Spool:
         self._journal_file = None
         self._checkpoint_file = None
 
-    def append_group(self, records, rids) -> None:
+    def append_group(self, records, rids, carried=None) -> None:
         """One group-commit write: the whole journal suffix and every
-        applied rid land in the journal (rids as ``{"rid": ...}`` marker
-        lines after the records that earned them) with a single fsync,
-        however many requests the batch covers."""
+        applied rid land in the journal with a single fsync, however
+        many requests the batch covers.  ``carried`` maps the seq of a
+        request's last record to its rid, which that record's line
+        carries, so no torn tail can keep a unit and lose its id;
+        ``rids`` are the requests that earned no record, each written
+        as a ``{"rid": ...}`` marker line."""
         if not records and not rids:
             return
-        lines = [
-            json.dumps(record_to_json(record)) + "\n" for record in records
-        ]
+        carried = carried or {}
+        lines = []
+        for record in records:
+            data = record_to_json(record)
+            rid = carried.get(record.seq)
+            if rid is not None:
+                data["rid"] = rid
+            lines.append(json.dumps(data) + "\n")
         lines.extend(json.dumps({"rid": rid}) + "\n" for rid in rids)
         handle = self._journal_handle()
         handle.write("".join(lines))
@@ -347,11 +356,10 @@ class Spool:
         return deltas
 
     def read_applied(self) -> set:
-        """The applied-request set: every rid marker in the journal."""
+        """The applied-request set: every rid in the journal, on a
+        record line or a marker line."""
         return {
-            data["rid"]
-            for data in _read_lines(self.journal_path)
-            if "seq" not in data and "rid" in data
+            data["rid"] for data in _read_lines(self.journal_path) if "rid" in data
         }
 
 
@@ -429,7 +437,12 @@ class ShardWorker:
         #: whether the request just handled left records or a rid for
         #: the next :meth:`flush` (its reply waits for that fsync)
         self._durability_pending = False
+        #: rids of handled requests that earned no journal record
         self._pending_rids: List[str] = []
+        #: seq of a handled request's last record -> the request's rid
+        self._carried_rids: Dict[int, str] = {}
+        #: the journal's last seq when the last request was deferred
+        self._deferred_seq = 0
         self.group_commits = 0
         self.group_records = 0
         self._recover()
@@ -498,7 +511,9 @@ class ShardWorker:
     def _defer(self, rid: Optional[str] = None) -> None:
         """Leave the unit just handled -- its journal records and its
         request id -- for the next :meth:`flush`; the server withholds
-        the reply until that fsync covers it.  The in-memory applied set
+        the reply until that fsync covers it.  Records the journal
+        gained since the previous deferral are this request's, and its
+        rid rides on the last of them.  The in-memory applied set
         is updated at once: a retried rid can only reach a *live* worker
         after a teardown, and after a crash the recovered set comes from
         disk."""
@@ -506,9 +521,14 @@ class ShardWorker:
             self.applied.add(rid)
         if self.spool is None:
             return
+        last = self.recorder.last_seq
         if rid:
-            self._pending_rids.append(rid)
-        if rid or self.recorder.last_seq > self.flushed_seq:
+            if last > max(self._deferred_seq, self.flushed_seq):
+                self._carried_rids[last] = rid
+            else:
+                self._pending_rids.append(rid)
+        self._deferred_seq = last
+        if rid or last > self.flushed_seq:
             self._durability_pending = True
 
     def take_durability(self) -> bool:
@@ -530,8 +550,9 @@ class ShardWorker:
         if not records and not self._pending_rids:
             return False
         rids, self._pending_rids = self._pending_rids, []
+        carried, self._carried_rids = self._carried_rids, {}
         start = time.perf_counter()
-        self.spool.append_group(records, rids)
+        self.spool.append_group(records, rids, carried)
         self.flushed_seq = self.recorder.last_seq
         self.group_commits += 1
         self.group_records += len(records)
@@ -577,11 +598,14 @@ class ShardWorker:
 
     def _dry_items(self, items: List[Dict[str, Any]]):
         """Run the items as one capture-mode dry transaction (always
-        rolled back).  Returns (ok, error, remote_calls)."""
+        rolled back).  Returns (ok, error, remote_calls).  Like a probe
+        it is an atomic unit: mid-unit, population queries must read
+        live life-cycle flags, not the epoch-keyed caches."""
         system = self.system
         system.remote_calls = []
         system.capture_remote = True
         registered = []
+        system._in_unit += 1
         txn = _Transaction(system)
         error: Optional[TrollError] = None
         try:
@@ -615,6 +639,8 @@ class ShardWorker:
                 if bucket.get(instance.key) is instance:
                     system._unregister(instance)
             system.capture_remote = False
+            system._in_unit -= 1
+            system._balance_store()
         remote = list(system.remote_calls)
         system.remote_calls = []
         return error is None, error, remote

@@ -1,12 +1,12 @@
 """The shard-local reference workload: a community of counters.
 
 ``COUNTER.bump`` guards itself with a universally quantified permission
-over the whole class population, so every occurrence costs O(population)
-formula evaluations.  That makes the workload *population-bound* rather
-than dispatch-bound: partitioning the counters over N shards divides the
-per-occurrence work by N on every shard, which is how the sharded server
-beats the single-process baseline even on a single-core host (the
-benchmark's throughput target is architectural, not parallelism).
+over the whole class population.  The object base keeps that formula's
+violator set up to date (:mod:`repro.runtime.verdicts`), so a bump
+re-evaluates only the counter it wrote and costs the same whatever the
+shard's population; ``benchmarks/bench_distributed.py`` guards that.
+Each shard still judges the permission over its own counters only (see
+ROADMAP item 1(a)).
 
 ``bump`` has no calling rules, so it is statically shard-local
 (``remote_capable_events`` does not mark it) and runs the unmodified

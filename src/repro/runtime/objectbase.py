@@ -79,6 +79,7 @@ from repro.runtime.compilespec import (
 )
 from repro.runtime.enabledness import CachedVerdict, ProbeDependencies, ProbeStats
 from repro.runtime.instance import Instance
+from repro.runtime.verdicts import MaintainedVerdicts
 from repro.runtime.txncompile import (
     STATS as _TXN_STATS,
     clear_plan_cache as _clear_txn_plans,
@@ -182,6 +183,7 @@ class _Transaction:
         snapshots = self.snapshots
         while instance is not None and id(instance) not in snapshots:
             snapshots[id(instance)] = (instance, instance.full_snapshot())
+            instance.system.verdicts.note(instance)
             store = self.system.store
             if not store.direct:
                 # every touched instance must be hot at commit so the
@@ -211,6 +213,9 @@ class _Transaction:
         if changes is not None:
             for instance, _snapshot in self.snapshots.values():
                 changes.note(instance)
+        self.system.verdicts.commit(
+            instance for instance, _snapshot in self.snapshots.values()
+        )
         for instance, step, kind in self.steps:
             instance.record_step(step)
             if incremental:
@@ -367,6 +372,9 @@ class ObjectBase:
         #: None (nothing noted) unless an owner that checkpoints -- a
         #: shard worker with a spool -- started a ChangeSet
         self.changes: Optional[ChangeSet] = None
+        #: the violator/witness sets of population-quantified
+        #: permissions (repro.runtime.verdicts)
+        self.verdicts = MaintainedVerdicts(self)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -630,6 +638,7 @@ class ObjectBase:
             # eviction); the residents are the complete set
             self.store.invalidate_resident_probe_caches()
         self._active_candidates = None
+        self.verdicts.drop()
 
     # ------------------------------------------------------------------
     # Rule-body evaluation (closure compiler seam)
@@ -932,9 +941,12 @@ class ObjectBase:
         """Let the paging store evict down to its hot-set bound, but
         only at a safe point: no atomic unit in flight (uncommitted
         state must never be written back, and every in-flight unit holds
-        strong references to its touched instances)."""
-        if self._in_unit == 0 and not self.store.direct:
-            self.store.balance()
+        strong references to its touched instances).  The maintained
+        verdicts forget the finished units' touches at the same point."""
+        if self._in_unit == 0:
+            self.verdicts.settle()
+            if not self.store.direct:
+                self.store.balance()
 
     def _birth_event(self, compiled: CompiledClass, name: Optional[str]) -> ast.EventDecl:
         births = compiled.info.birth_events()
@@ -1500,6 +1512,8 @@ class ObjectBase:
             instance.compiled.var_sorts_for(rule),
             hooks=self.obs,
             term_eval=self._class_term_eval(instance.compiled),
+            # a foreign instance's quantifiers range over its own system
+            quantifiers=self.verdicts.handles if instance.system is self else None,
         )
         instance.monitors[id(rule)] = monitor
         if instance.trace:

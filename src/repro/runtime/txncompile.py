@@ -494,6 +494,7 @@ class TxnPlan:
             # every mutated instance must be hot at commit so the paging
             # store writes the mutation back on eviction
             system.store.readmit(instance)
+        system.verdicts.note(instance)
         if new_states is not None:
             instance.protocol_states = new_states
         count_writes = obs is not None and obs.count_attr_accesses
@@ -577,8 +578,9 @@ class TxnPlan:
                 )
 
     def _commit(self, system, steps, recorder, triggers):
-        """Journal record, trace steps, monitor updates and the
-        class-object side effect, in the generic commit order."""
+        """Journal record, trace steps, monitor updates, the
+        class-object side effect and the maintained quantifier verdicts,
+        as the generic commit does them."""
         if recorder is not None:
             recorder.record_commit(_ShimTxn(steps), triggers)
         incremental = system.permission_mode == "incremental"
@@ -591,6 +593,7 @@ class TxnPlan:
                 system._update_monitors(instance, step)
             if self.is_class_kind:
                 system.class_object(self.class_name)
+        system.verdicts.commit(instance for instance, _step, _kind in steps)
 
     def _finish(self, system, steps):
         occurrence_cls = _occurrence_class()

@@ -37,6 +37,9 @@ themselves.  In particular the active-domain enumeration of quantified
 permissions reads class populations via ``env.class_population`` on
 every ``check``, so such verdicts carry population-epoch dependencies
 and are invalidated by any birth or death in the quantified class.
+(A quantifier with a maintained verdict, :mod:`repro.runtime.verdicts`,
+answers from the object base's violator or witness set instead, but
+never while a probe records a read set.)
 New summary state must stay a pure fold of the owner's trace steps (or
 the check must punt).
 """
@@ -355,17 +358,27 @@ class _QuantNode(_Node):
         want_all: bool,
         var_decls: Tuple[Tuple[str, Sort], ...],
         child: _Node,
+        maintained=None,
     ):
         self._want_all = want_all
         self._var_decls = var_decls
         self._child = child
         self._domain = _DomainAccumulator(var_decls)
+        #: the object base's maintained verdict for this formula
+        #: (repro.runtime.verdicts), or None: then every check evaluates
+        #: the body once per domain value
+        self._maintained = maintained
 
     def update(self, step: TraceStep, env: Environment) -> None:
         self._domain.absorb_step(step)
         self._child.update(step, env)
 
     def check(self, env: Environment) -> bool:
+        maintained = self._maintained
+        if maintained is not None:
+            verdict = maintained.verdict(self._domain._values[0])
+            if verdict is not None:
+                return verdict
         for binding in self._domain.bindings(env):
             outcome = self._child.check(env.child(binding))
             if self._want_all and not outcome:
@@ -375,7 +388,16 @@ class _QuantNode(_Node):
         return self._want_all
 
 
-def _compile(formula: Formula, var_sorts: Dict[str, Sort], term_eval=evaluate) -> _Node:
+def _compile(
+    formula: Formula,
+    var_sorts: Dict[str, Sort],
+    term_eval=evaluate,
+    quantifiers: Optional[Dict[int, object]] = None,
+) -> _Node:
+    """Compile ``formula``.  ``quantifiers`` maps id(quantified
+    subformula) to its maintained verdict; it reaches only the positions
+    under propositional connectives, where a check runs at the current
+    instant under no other binder."""
     if isinstance(formula, StateProp):
         return _StateNode(formula, term_eval)
     if isinstance(formula, After):
@@ -396,18 +418,23 @@ def _compile(formula: Formula, var_sorts: Dict[str, Sort], term_eval=evaluate) -
             _decls_for(free, var_sorts),
         )
     if isinstance(formula, NotF):
-        return _NotNode(_compile(formula.body, var_sorts, term_eval))
+        return _NotNode(_compile(formula.body, var_sorts, term_eval, quantifiers))
     if isinstance(formula, AndF):
-        return _BinNode("and", _compile(formula.left, var_sorts, term_eval), _compile(formula.right, var_sorts, term_eval))
+        return _BinNode("and", _compile(formula.left, var_sorts, term_eval, quantifiers), _compile(formula.right, var_sorts, term_eval, quantifiers))
     if isinstance(formula, OrF):
-        return _BinNode("or", _compile(formula.left, var_sorts, term_eval), _compile(formula.right, var_sorts, term_eval))
+        return _BinNode("or", _compile(formula.left, var_sorts, term_eval, quantifiers), _compile(formula.right, var_sorts, term_eval, quantifiers))
     if isinstance(formula, ImpliesF):
-        return _BinNode("implies", _compile(formula.left, var_sorts, term_eval), _compile(formula.right, var_sorts, term_eval))
+        return _BinNode("implies", _compile(formula.left, var_sorts, term_eval, quantifiers), _compile(formula.right, var_sorts, term_eval, quantifiers))
     if isinstance(formula, (ForallF, ExistsF)):
         inner_sorts = dict(var_sorts)
         inner_sorts.update({n: s for n, s in formula.variables})
         child = _compile(formula.body, inner_sorts, term_eval)
-        return _QuantNode(isinstance(formula, ForallF), tuple(formula.variables), child)
+        maintained = quantifiers.get(id(formula)) if quantifiers else None
+        if maintained is not None:
+            maintained.bind(child)
+        return _QuantNode(
+            isinstance(formula, ForallF), tuple(formula.variables), child, maintained
+        )
     raise EvaluationError(f"cannot compile formula of kind {type(formula).__name__}")
 
 
@@ -426,13 +453,18 @@ class FormulaMonitor:
         var_sorts: Optional[Dict[str, Sort]] = None,
         hooks=None,
         term_eval=None,
+        quantifiers: Optional[Dict[int, object]] = None,
     ):
         self.formula = formula
         #: propositional atoms (state propositions, pattern arguments)
         #: evaluate through ``term_eval`` -- the runtime passes
         #: ``ObjectBase.eval_term`` to route them through the closure
-        #: compiler; default is the tree-walking interpreter
-        self._root = _compile(formula, dict(var_sorts or {}), term_eval or evaluate)
+        #: compiler; default is the tree-walking interpreter.
+        #: ``quantifiers`` are the object base's maintained verdicts
+        #: (id(quantified subformula) -> verdict), see _compile.
+        self._root = _compile(
+            formula, dict(var_sorts or {}), term_eval or evaluate, quantifiers
+        )
         #: optional telemetry hooks (an Observability-shaped object with
         #: on_monitor_update/on_monitor_check); None means no overhead
         self.hooks = hooks

@@ -182,7 +182,7 @@ class CrashPoint:
         self.target = target
         #: of the bytes the dying write added: "all", "none", "half" of
         #: its first line (a torn line), or "marker": every line but
-        #: half of the last (a group write ends with its rid markers)
+        #: half of the last (the last request's record, carrying its rid)
         self.leave = leave
 
     def __repr__(self):
@@ -195,15 +195,7 @@ CRASH_POINTS = [
     CrashPoint("delta-torn", 30, "delta", "half"),
     CrashPoint("base-renamed-log-kept", 20, "base", "all"),
     CrashPoint("journal-torn", 40, "journal", "half"),
-    pytest.param(
-        CrashPoint("records-kept-marker-torn", 40, "journal", "marker"),
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="a group write puts a unit's request id on a marker line "
-            "after its record: a tail torn between the two replays the "
-            "unit but forgets the id, so the retry applies it again",
-        ),
-    ),
+    CrashPoint("records-kept-marker-torn", 40, "journal", "marker"),
 ]
 
 
