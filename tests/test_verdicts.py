@@ -202,6 +202,19 @@ def test_called_permission_reads_the_callers_write():
         assert system.get(("ACC", 1), "Bal").payload == 1
 
 
+def test_first_check_inside_a_rolled_back_unit():
+    """``audit``'s set is first needed inside ``spend``'s unit, after the
+    uncommitted write; the unit rolls back, so the set must not have
+    been built from that write."""
+    system = ObjectBase(ACCOUNTS_SPEC)
+    system.create("LEDGER", {"Id": 0}, "init")
+    system.create("ACC", {"No": 1}, "open", [3])
+    with pytest.raises(PermissionDenied):
+        system.occur(("ACC", 1), "spend", [5])
+    system.occur(("LEDGER", 0), "audit")
+    assert system.get(("LEDGER", 0), "N").payload == 1
+
+
 def test_later_batch_items_see_earlier_writes():
     for txn_compile in (True, False):
         system = ObjectBase(ACCOUNTS_SPEC, txn_compile=txn_compile)
@@ -356,12 +369,24 @@ end object class K;
 """
 
 
-def test_dry_items_sees_a_birth_of_the_same_unit():
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DRY_SPEC,
+        # reading the checking instance's No puts both rules outside the
+        # maintained fragment: the full evaluation reads population()
+        DRY_SPEC.replace("C.V >= 0", "C.V >= 0 or No = 0").replace(
+            "C.No = 9", "C.No = No + 8"
+        ),
+    ],
+    ids=["maintained", "full-evaluation"],
+)
+def test_dry_items_sees_a_birth_of_the_same_unit(spec):
     """A 2PC prepare must admit what the commit admits: the birth's own
     permission check reads the population before ``born`` is set, and a
     dry run that is not an atomic unit served that stale list again to
     the later item."""
-    worker = ShardWorker({"spec": DRY_SPEC, "shard_index": 0, "shards": 1})
+    worker = ShardWorker({"spec": spec, "shard_index": 0, "shards": 1})
     worker.system.create("K", {"No": 1})
     items = [
         {
