@@ -204,7 +204,7 @@ class QuantifierVerdict:
         evaluate it in full.  ``harvested`` are the domain values the
         checking monitor collected from its instance's trace."""
         system = self.system
-        if system._probe_deps is not None or self.body is None:
+        if system._probe_deps is not None:
             return None
         class_name = self.class_name
         for value in harvested:
